@@ -44,11 +44,11 @@ struct Args {
   int slots = 20;
   std::string out = "BENCH_sweep.json";
   std::string profile_dir;  // empty = no per-scenario profile capture
-  // --fast: run with every performance lever on (range pruning, cross-slot
-  // LP warm starts, all intra-slot threads; sparse tableau and the S4
-  // decomposition engage on their own Auto thresholds). Profiles land at
-  // <name>.fast.profile.json so the committed baseline artifacts stay
-  // comparable (docs/PERFORMANCE.md "Scaling past 500 nodes").
+  // --fast: run with range pruning on (ModelConfig::link_prune, the one
+  // performance lever; the S4 decomposition engages on its own Auto
+  // threshold). Profiles land at <name>.fast.profile.json so the committed
+  // baseline artifacts stay comparable (docs/PERFORMANCE.md "Scaling past
+  // 500 nodes").
   bool fast = false;
 };
 
@@ -162,7 +162,7 @@ void dump(const JsonValue& v, std::string* out, int indent) {
 struct Row {
   std::string name;
   int nodes = 0, bs = 0, users = 0, sessions = 0, slots = 0;
-  bool fast = false;  // run with the --fast performance levers
+  bool fast = false;  // run with the --fast performance lever
   double wall_s = 0.0, slots_per_s = 0.0;
 };
 
@@ -185,12 +185,8 @@ Row run_one(const std::string& path, int slots,
   gc::sim::ScenarioConfig config = spec.config;
   if (fast) config.link_prune = true;
   const gc::core::NetworkModel model = config.build();
-  gc::core::ControllerOptions copts = config.controller_options();
-  if (fast) {
-    copts.warm_across_slots = true;
-    copts.intra_slot_threads = 0;  // all hardware threads
-  }
-  gc::core::LyapunovController controller(model, 3.0, copts);
+  gc::core::LyapunovController controller(model, 3.0,
+                                         config.controller_options());
   gc::sim::SimOptions sim_opts;
   sim_opts.scenario_name = spec.name;
   sim_opts.scenario_hash = gc::scenario::scenario_hash(spec);

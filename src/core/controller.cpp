@@ -2,63 +2,8 @@
 
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
-
-// Intra-slot worker pool with per-worker obs registries, mirroring the
-// sweep engine's idiom (sim/sweep.cpp): on_thread_start installs a
-// worker-private registry so every instrument a cluster job touches is
-// race-free; after each step the controller thread folds the workers'
-// registries into its own thread-current registry in worker-index order
-// (FP sums are order-sensitive) and resets them.
-struct LyapunovController::IntraSlotPool {
-  std::vector<std::unique_ptr<obs::Registry>> registries;
-  // Declared before `pool` so the scopes outlive the joining workers
-  // (on_thread_stop resets each worker's scope during pool destruction).
-  std::vector<std::unique_ptr<obs::ThreadRegistryScope>> scopes;
-  util::ThreadPool pool;
-
-  explicit IntraSlotPool(int threads)
-      : registries(make_registries(threads)),
-        scopes(registries.size()),
-        pool(pool_options(threads)) {}
-
-  static std::vector<std::unique_ptr<obs::Registry>> make_registries(
-      int threads) {
-    std::vector<std::unique_ptr<obs::Registry>> out;
-    const int n = util::ThreadPool::resolve_num_threads(threads);
-    out.reserve(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; ++w)
-      out.push_back(std::make_unique<obs::Registry>());
-    return out;
-  }
-
-  util::ThreadPool::Options pool_options(int threads) {
-    util::ThreadPool::Options o;
-    o.num_threads = threads;
-    o.on_thread_start = [this](int w) {
-      scopes[static_cast<std::size_t>(w)] =
-          std::make_unique<obs::ThreadRegistryScope>(
-              registries[static_cast<std::size_t>(w)].get());
-    };
-    o.on_thread_stop = [this](int w) {
-      scopes[static_cast<std::size_t>(w)].reset();
-    };
-    return o;
-  }
-
-  // Fold worker instruments into `target` deterministically, then clear
-  // the workers for the next slot. The thread_local instrument handles the
-  // workers cached stay valid across reset() (reset zeroes values, it does
-  // not destroy instruments).
-  void merge_into(obs::Registry& target) {
-    for (const auto& r : registries) {
-      target.merge_from(*r);
-      r->reset();
-    }
-  }
-};
 
 namespace {
 
@@ -105,25 +50,6 @@ LyapunovController::LyapunovController(const NetworkModel& model, double V,
   lp_ws_s1_.set_stats_sink(options_.lp_stats);
   lp_ws_s3_.set_stats_sink(options_.lp_stats);
   lp_ws_s4_.set_stats_sink(options_.lp_stats);
-  if (options_.intra_slot_threads != 1)
-    pool_ = std::make_unique<IntraSlotPool>(options_.intra_slot_threads);
-}
-
-LyapunovController::~LyapunovController() = default;
-
-LyapunovController::WarmCarry LyapunovController::warm_carry() const {
-  WarmCarry carry;
-  if (!options_.warm_across_slots) return carry;
-  carry.s1_states = lp_ws_s1_.export_recorded_states();
-  carry.s1_keys = s1_warm_keys_;
-  carry.s4_states = lp_ws_s4_.export_recorded_states();
-  return carry;
-}
-
-void LyapunovController::restore_warm_carry(const WarmCarry& carry) {
-  lp_ws_s1_.import_recorded_states(carry.s1_states);
-  s1_warm_keys_ = carry.s1_keys;
-  lp_ws_s4_.import_recorded_states(carry.s4_states);
 }
 
 SlotDecision LyapunovController::step(const SlotInputs& inputs) {
@@ -167,17 +93,9 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
                                .derivative(last_grid_j_)
             : 0.0;
     if (options_.scheduler == ControllerOptions::Scheduler::SequentialFix) {
-      // Clustered when a pool is active; otherwise the serial SF, carrying
-      // the cross-slot warm keys when warm_across_slots is on.
       const auto run_sf = [&] {
-        if (pool_ != nullptr)
-          return sequential_fix_schedule_clustered(
-              state_, inputs, pool_->pool, options_.fill_in, energy_price,
-              options_.lp, options_.lp_stats);
-        return sequential_fix_schedule(
-            state_, inputs, options_.fill_in, energy_price, options_.lp,
-            &lp_ws_s1_,
-            options_.warm_across_slots ? &s1_warm_keys_ : nullptr);
+        return sequential_fix_schedule(state_, inputs, options_.fill_in,
+                                       energy_price, options_.lp, &lp_ws_s1_);
       };
       if (options_.fallbacks) {
         try {
@@ -252,16 +170,13 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
         else
           demands[i] += inputs.policy_demand(node);
       }
+    // Default EnergyLpOptions: the joint LP below 64 nodes, the exact
+    // base-station/user split at or above (energy_manager.hpp).
     EnergyResult energy;
-    EnergyLpOptions eopt;
-    eopt.decompose = options_.s4_decompose;
-    eopt.decompose_min_nodes = options_.s4_decompose_min_nodes;
-    eopt.warm_across_slots = options_.warm_across_slots;
-    eopt.pool = pool_ != nullptr ? &pool_->pool : nullptr;
     if (options_.energy_manager == ControllerOptions::EnergyManager::Lp) {
       if (options_.fallbacks) {
         try {
-          energy = lp_energy_manage(state_, inputs, demands, eopt,
+          energy = lp_energy_manage(state_, inputs, demands, EnergyLpOptions{},
                                     options_.lp, &lp_ws_s4_);
         } catch (const CheckError&) {
           m.fallback_s4.add();
@@ -269,8 +184,8 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
           energy = price_energy_manage(state_, inputs, demands);
         }
       } else {
-        energy = lp_energy_manage(state_, inputs, demands, eopt, options_.lp,
-                                  &lp_ws_s4_);
+        energy = lp_energy_manage(state_, inputs, demands, EnergyLpOptions{},
+                                  options_.lp, &lp_ws_s4_);
       }
     } else {
       energy = price_energy_manage(state_, inputs, demands);
@@ -281,12 +196,6 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     decision.unserved_energy_j = energy.unserved_total_j;
     last_grid_j_ = energy.grid_total_j;
   }
-
-  // Fold anything the intra-slot workers recorded (sched.* / lp.* from
-  // cluster jobs and S4 user chunks) into this thread's registry, in
-  // worker-index order, so snapshots and sweeps see one coherent registry
-  // per controller thread at any intra-slot thread count.
-  if (pool_ != nullptr) pool_->merge_into(obs::registry());
 
   decision.degraded = decision.fallbacks > 0;
   if (decision.degraded) m.degraded.add();

@@ -11,10 +11,6 @@
 // ModelConfig disables relaying and/or renewable inputs.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include "core/allocator.hpp"
 #include "core/energy_manager.hpp"
 #include "core/model.hpp"
@@ -36,8 +32,10 @@ struct ControllerOptions {
   // S1<->S4 coupling the decomposition drops.
   bool energy_aware_scheduling = false;
   // Lp solves S4 exactly (up to a fine PWL of f) like the paper's CPLEX;
-  // Price is the faster closed-form decomposition, within ~2% of optimal
-  // but all-or-nothing at the marginal node (see bench/ablation_energy_managers).
+  // Price is the closed-form decomposition. bench/ablation_energy_managers
+  // (150 random paper-scale instances) measures it against a 128-segment
+  // LP at a mean relative gap of -5.1e-6 (price marginally better) and
+  // ~1000-1750x faster per solve.
   enum class EnergyManager { Lp, Price } energy_manager = EnergyManager::Lp;
   enum class Router { Greedy, Lp } router = Router::Greedy;
   // Watchdog budget applied to every LP solve the subproblems issue
@@ -49,27 +47,6 @@ struct ControllerOptions {
   // Observation only — never changes decisions; nullptr = off. Must
   // outlive the controller and be thread-safe when controllers share it.
   lp::SolveStatsSink* lp_stats = nullptr;
-  // S4 decomposition (energy_manager.hpp; docs/ALGORITHM.md "Why the S4
-  // split is exact"). Auto keeps paper-scale instances on the historical
-  // joint-LP trajectory and decomposes only at or above the node threshold.
-  S4Decompose s4_decompose = S4Decompose::Auto;
-  int s4_decompose_min_nodes = 64;
-  // Cross-slot LP warm starts (--lp-warm-slots): seed each slot's first S1
-  // relaxation and the S4 LP from the previous slot's final variable
-  // states. Off by default — a warm hint only moves the starting vertex,
-  // but a degenerate S1 relaxation may round a different (equally optimal)
-  // alpha than the cold run, so the default stays bit-identical to the
-  // paper baseline. The carry is part of the checkpointed state
-  // (warm_carry() / restore_warm_carry()), so resume replays exactly.
-  bool warm_across_slots = false;
-  // Intra-slot parallelism (--intra-slot-threads): > 1 runs S1 as one SF
-  // series per interference cluster (sequential_fix_schedule_clustered)
-  // and S4's per-user closed forms in chunks, on a controller-owned pool
-  // with per-worker obs registries merged deterministically each slot.
-  // Results are deterministic for any thread count, but the clustered S1
-  // is not bit-identical to the single-threaded SF (see scheduler.hpp);
-  // 0 = all hardware threads, 1 (default) = the historical serial path.
-  int intra_slot_threads = 1;
   // Fallback ladder (docs/ROBUSTNESS.md): when an LP-based subproblem
   // solver fails (Infeasible / IterationLimit / TimeLimit / NumericalError,
   // surfaced as gc::CheckError), retry the slot's subproblem with the
@@ -84,22 +61,6 @@ class LyapunovController {
  public:
   LyapunovController(const NetworkModel& model, double V,
                      ControllerOptions options = {});
-  ~LyapunovController();
-
-  // The cross-slot warm-start carry (ControllerOptions::warm_across_slots):
-  // the S1/S4 workspaces' recorded variable states plus the (tx, rx, band)
-  // keys aligning S1's states with next slot's candidates. Serialized into
-  // checkpoints (sim/checkpoint.cpp) so a resumed run feeds its first slot
-  // the exact hints the uninterrupted run would have — replay stays
-  // bit-identical. Empty vectors when warm starts are off or no slot has
-  // run yet; restore with everything empty is a no-op cold start.
-  struct WarmCarry {
-    std::vector<std::uint8_t> s1_states;
-    std::vector<std::uint64_t> s1_keys;
-    std::vector<std::uint8_t> s4_states;
-  };
-  WarmCarry warm_carry() const;
-  void restore_warm_carry(const WarmCarry& carry);
 
   const NetworkState& state() const { return state_; }
   // Mutable access for checkpoint restore and for the simulator's
@@ -125,18 +86,9 @@ class LyapunovController {
   // Reusable LP solver state, one workspace per LP-backed subproblem so
   // each solves a single model family (S1 additionally warm-starts its
   // sequential-fix series through lp_ws_s1_; see scheduler.hpp). Purely
-  // solver-internal UNLESS warm_across_slots is on, in which case the
-  // recorded states of s1/s4 are checkpointed via warm_carry().
+  // solver-internal: no warm hint crosses a slot, so none of it is
+  // checkpointed.
   lp::Workspace lp_ws_s1_, lp_ws_s3_, lp_ws_s4_;
-  // Cross-slot S1 warm keys (scheduler.hpp `warm_keys`); only maintained in
-  // the serial SF path — the clustered scheduler solves through ephemeral
-  // per-cluster workspaces, so there is no state to carry.
-  std::vector<std::uint64_t> s1_warm_keys_;
-  // Intra-slot worker pool + per-worker obs registries (nullptr when
-  // intra_slot_threads <= 1). Owned here so the workers and their
-  // registries live exactly as long as the controller.
-  struct IntraSlotPool;
-  std::unique_ptr<IntraSlotPool> pool_;
 };
 
 }  // namespace gc::core

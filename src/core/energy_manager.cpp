@@ -6,7 +6,6 @@
 
 #include "lp/pwl.hpp"
 #include "lp/simplex.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 
@@ -330,37 +329,9 @@ EnergyResult lp_energy_manage(const NetworkState& state,
   const int k = decompose ? model.num_base_stations() : n;
 
   std::vector<NodeEnergyDecision> decisions(static_cast<std::size_t>(n));
-  if (k < n) {
-    const auto solve_users = [&](int lo, int hi) {
-      for (int i = lo; i < hi; ++i)
-        decisions[static_cast<std::size_t>(i)] =
-            best_response(make_instance(state, inputs, demands_j, i), 0.0).d;
-    };
-    util::ThreadPool* pool = options.pool;
-    if (pool != nullptr && pool->num_threads() > 1) {
-      // Fixed chunk grain: the split depends only on (n, k, threads), so
-      // the work partition — and with it every FP result, each written to
-      // its own slot — is identical however the chunks land on workers.
-      const int chunk =
-          std::max(64, (n - k + pool->num_threads() - 1) / pool->num_threads());
-      std::vector<std::exception_ptr> errors;
-      errors.resize(static_cast<std::size_t>((n - k + chunk - 1) / chunk));
-      int job = 0;
-      for (int lo = k; lo < n; lo += chunk, ++job)
-        pool->submit([&, lo, job] {
-          try {
-            solve_users(lo, std::min(lo + chunk, n));
-          } catch (...) {
-            errors[static_cast<std::size_t>(job)] = std::current_exception();
-          }
-        });
-      pool->wait_idle();
-      for (const std::exception_ptr& e : errors)
-        if (e) std::rethrow_exception(e);
-    } else {
-      solve_users(k, n);
-    }
-  }
+  for (int i = k; i < n; ++i)
+    decisions[static_cast<std::size_t>(i)] =
+        best_response(make_instance(state, inputs, demands_j, i), 0.0).d;
 
   // Penalty dominating every per-joule gain so unserved energy is a last
   // resort. Computed over ALL nodes so the objective scale is identical
@@ -421,15 +392,6 @@ EnergyResult lp_energy_manage(const NetworkState& state,
     const int row = m.add_row(lp::Sense::LessEqual, -seg.intercept);
     m.set_coeff(row, pvar, seg.slope);
     m.set_coeff(row, yvar, -1.0);
-  }
-
-  // Cross-slot warm start: the layout above is a pure function of k, so an
-  // identity map carries each variable's final state into the next slot.
-  if (options.warm_across_slots && workspace != nullptr) {
-    std::vector<int> ident(static_cast<std::size_t>(m.num_variables()));
-    for (std::size_t j = 0; j < ident.size(); ++j)
-      ident[j] = static_cast<int>(j);
-    workspace->set_warm_start(std::move(ident), /*cross_slot=*/true);
   }
 
   lp::Workspace local_ws;

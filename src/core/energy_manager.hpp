@@ -17,8 +17,11 @@
 //  * lp_energy_manage (controller default): one LP over all nodes with f
 //    replaced by a tangent-line PWL epigraph; exact up to the PWL gap, with
 //    degenerate charge/discharge ties cancelled afterwards so (9) holds.
-//    The price solver is within ~2% (it is all-or-nothing at the marginal
-//    node) and ~100x faster; pick it via ControllerOptions for large sweeps.
+//    bench/ablation_energy_managers (150 random paper-scale instances)
+//    puts the price solver at a mean relative gap of -5.1e-6 against a
+//    128-segment LP (marginally better; worst instance +5.6e-15) and
+//    ~1000-1750x faster per solve; pick it via ControllerOptions for large
+//    sweeps.
 //
 // Deviation from the paper (documented in DESIGN.md): eq. (3) forces
 // R_i = c_i^r + r_i exactly, which is infeasible when the battery is full
@@ -34,10 +37,6 @@
 #include "core/state.hpp"
 #include "core/types.hpp"
 #include "lp/simplex.hpp"
-
-namespace gc::util {
-class ThreadPool;
-}
 
 namespace gc::core {
 
@@ -82,21 +81,11 @@ struct EnergyLpOptions {
   // bit for bit.
   S4Decompose decompose = S4Decompose::Auto;
   int decompose_min_nodes = 64;
-  // Cross-slot warm start (ControllerOptions::warm_across_slots): hint the
-  // LP with the previous slot's final variable states through an identity
-  // map — the S4 variable layout is fixed across slots for a fixed
-  // decomposition mode. Requires a persistent `workspace`; purely a
-  // starting-point change (statuses and objectives are unaffected).
-  bool warm_across_slots = false;
-  // When set (and decomposing), per-user closed forms run as index chunks
-  // on this pool. Bit-identical at any thread count: each chunk writes a
-  // disjoint range of a preallocated decision vector.
-  util::ThreadPool* pool = nullptr;
 };
 
 // lp_energy_manage's `workspace` (optional) reuses solver buffers across
-// slots; unless warm_across_slots is set no warm-start hint is passed, and
-// results are identical with or without one.
+// slots; no warm-start hint is passed, so results are identical with or
+// without one.
 EnergyResult lp_energy_manage(const NetworkState& state,
                               const SlotInputs& inputs,
                               const std::vector<double>& demands_j,

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <unordered_map>
 #include <utility>
 
 #include "lp/simplex.hpp"
 #include "net/power_control.hpp"
 #include "obs/registry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 
@@ -25,11 +22,6 @@ struct SchedulerMetrics {
   obs::Counter& fill_in = obs::registry().counter("sched.fill_in_links");
   obs::Counter& descheduled =
       obs::registry().counter("sched.power_descheduled_links");
-  // Intra-slot cluster parallelism: clusters solved and the size of the
-  // largest one (the parallel critical path).
-  obs::Counter& clusters = obs::registry().counter("sched.sf_clusters");
-  obs::Histogram& cluster_cands =
-      obs::registry().histogram("sched.sf_cluster_candidates");
 };
 
 SchedulerMetrics& sched_metrics() {
@@ -244,55 +236,17 @@ void greedy_fill(const NetworkState& state,
 
 namespace {
 
-// The (tx, rx, band) identity of a candidate, used to match this slot's
-// first-pass variables against the previous slot's last-pass variables for
-// the cross-slot warm start. 24/24/16 bits is room for 16M nodes.
-std::uint64_t candidate_key(const CandidateLinkBand& c) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.tx))
-          << 40) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.rx))
-          << 16) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.band));
-}
-
 // One SF relax-round-compact series over `cands`: fixes links into
-// `schedule`, consuming `usage`. The within-series warm maps flow through
-// `ws` exactly as before; `warm_keys` additionally seeds the first pass
-// from the previous slot's last relaxation (see scheduler.hpp) and carries
-// this series' last-pass keys back out — untouched when no LP was solved,
-// so an empty slot keeps the previous carry alive.
+// `schedule`, consuming `usage`. Each pass after the first warm-starts
+// from the previous pass through `ws`; the first pass is always cold.
 void sf_series(const NetworkState& state,
                std::vector<CandidateLinkBand> cands, RadioUsage& usage,
                const lp::Options& lp_options, lp::Workspace& ws,
-               std::vector<ScheduledLink>& schedule,
-               std::vector<std::uint64_t>* warm_keys) {
+               std::vector<ScheduledLink>& schedule) {
   const auto& model = state.model();
-  bool first_pass = true;
-  std::vector<std::uint64_t> last_keys;
 
   while (!cands.empty()) {
     sched_metrics().lp_passes.add();
-    if (first_pass && warm_keys != nullptr && !warm_keys->empty()) {
-      // Cross-slot hint: map each candidate onto the same (tx, rx, band)
-      // variable of the previous slot's final relaxation, if it recurs.
-      std::unordered_map<std::uint64_t, int> prev;
-      prev.reserve(warm_keys->size());
-      for (std::size_t o = 0; o < warm_keys->size(); ++o)
-        prev.emplace((*warm_keys)[o], static_cast<int>(o));
-      std::vector<int> map(cands.size(), -1);
-      for (std::size_t v = 0; v < cands.size(); ++v) {
-        const auto it = prev.find(candidate_key(cands[v]));
-        if (it != prev.end()) map[v] = it->second;
-      }
-      ws.set_warm_start(std::move(map), /*cross_slot=*/true);
-    }
-    first_pass = false;
-    if (warm_keys != nullptr) {
-      last_keys.clear();
-      last_keys.reserve(cands.size());
-      for (const auto& c : cands) last_keys.push_back(candidate_key(c));
-    }
-
     // LP relaxation: maximize sum w_c alpha_c s.t. the remaining radio
     // budget per node and one activity per (node, band).
     lp::Model m;
@@ -359,8 +313,6 @@ void sf_series(const NetworkState& state,
     cands.resize(kept);
     if (!cands.empty()) ws.set_warm_start(std::move(warm_map));
   }
-  if (warm_keys != nullptr && !last_keys.empty())
-    *warm_keys = std::move(last_keys);
 }
 
 }  // namespace
@@ -368,125 +320,19 @@ void sf_series(const NetworkState& state,
 std::vector<ScheduledLink> sequential_fix_schedule(
     const NetworkState& state, const SlotInputs& inputs, bool fill_in,
     double marginal_energy_price, const lp::Options& lp_options,
-    lp::Workspace* workspace, std::vector<std::uint64_t>* warm_keys) {
+    lp::Workspace* workspace) {
   std::vector<ScheduledLink> schedule;
   RadioUsage usage(state.model());
   // All passes solve through one workspace (caller's, or a local fallback)
   // so buffers are reused; each compaction leaves a warm-start map for the
-  // next pass. Without `warm_keys` the first pass is always cold.
+  // next pass.
   lp::Workspace local_ws;
   lp::Workspace& ws = workspace != nullptr ? *workspace : local_ws;
   sf_series(state, build_candidates(state, inputs), usage, lp_options, ws,
-            schedule, warm_keys);
+            schedule);
   sched_metrics().primary.add(static_cast<double>(schedule.size()));
   // Psi3-aware fill-in over radios SF left idle (see
   // build_fill_in_candidates for why the paper's S1 alone deadlocks).
-  if (fill_in) {
-    const std::size_t before = schedule.size();
-    greedy_fill(state,
-                build_fill_in_candidates(state, inputs, schedule,
-                                         marginal_energy_price),
-                schedule);
-    sched_metrics().fill_in.add(static_cast<double>(schedule.size() - before));
-  }
-  return schedule;
-}
-
-namespace {
-
-// Buffers per-cluster SolveStats so the main thread can forward them to
-// the caller's sink in cluster order, independent of worker scheduling.
-struct BufferedStatsSink : lp::SolveStatsSink {
-  std::vector<lp::SolveStats> records;
-  void on_solve(const lp::SolveStats& stats, const char*) override {
-    records.push_back(stats);
-  }
-};
-
-}  // namespace
-
-std::vector<ScheduledLink> sequential_fix_schedule_clustered(
-    const NetworkState& state, const SlotInputs& inputs,
-    util::ThreadPool& pool, bool fill_in, double marginal_energy_price,
-    const lp::Options& lp_options, lp::SolveStatsSink* stats_sink) {
-  const auto& model = state.model();
-  const std::vector<CandidateLinkBand> cands =
-      build_candidates(state, inputs);
-
-  // Connected components of the endpoint-sharing graph via union-find,
-  // ordered by their smallest member node so cluster identity is a pure
-  // function of the candidate set.
-  const int n = model.num_nodes();
-  std::vector<int> parent(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) parent[i] = i;
-  const auto find = [&](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const auto& c : cands) {
-    const int a = find(c.tx), b = find(c.rx);
-    // Union by smaller index: the root IS the smallest member, giving the
-    // deterministic cluster order for free.
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-  std::vector<int> roots;  // ascending = cluster order
-  std::unordered_map<int, std::size_t> cluster_of;
-  for (const auto& c : cands) {
-    const int r = find(c.tx);
-    if (cluster_of.emplace(r, roots.size()).second) roots.push_back(r);
-  }
-  std::vector<std::size_t> order(roots.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return roots[a] < roots[b];
-  });
-  std::vector<std::size_t> rank(roots.size());
-  for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
-
-  const std::size_t k = roots.size();
-  std::vector<std::vector<CandidateLinkBand>> cluster_cands(k);
-  for (const auto& c : cands)
-    cluster_cands[rank[cluster_of[find(c.tx)]]].push_back(c);
-
-  sched_metrics().clusters.add(static_cast<double>(k));
-  for (const auto& cc : cluster_cands)
-    sched_metrics().cluster_cands.observe(static_cast<double>(cc.size()));
-
-  // One SF series per cluster. Clusters are node-disjoint, so each job's
-  // fresh RadioUsage sees exactly the budget the joint series would.
-  std::vector<std::vector<ScheduledLink>> fragments(k);
-  std::vector<BufferedStatsSink> sinks(k);
-  std::vector<std::exception_ptr> errors(k);
-  for (std::size_t c = 0; c < k; ++c)
-    pool.submit([&, c] {
-      try {
-        lp::Workspace ws;
-        ws.set_stats_context("s1");
-        if (stats_sink != nullptr) ws.set_stats_sink(&sinks[c]);
-        RadioUsage usage(model);
-        sf_series(state, std::move(cluster_cands[c]), usage, lp_options, ws,
-                  fragments[c], nullptr);
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-    });
-  pool.wait_idle();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-
-  // Deterministic merge: cluster order, then the order the series fixed
-  // links within each cluster.
-  std::vector<ScheduledLink> schedule;
-  for (std::size_t c = 0; c < k; ++c) {
-    schedule.insert(schedule.end(), fragments[c].begin(), fragments[c].end());
-    if (stats_sink != nullptr)
-      for (const auto& rec : sinks[c].records) stats_sink->on_solve(rec, "s1");
-  }
-  sched_metrics().primary.add(static_cast<double>(schedule.size()));
-
   if (fill_in) {
     const std::size_t before = schedule.size();
     greedy_fill(state,

@@ -15,16 +15,11 @@
 //    only on small instances (tests and ablations).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/state.hpp"
 #include "core/types.hpp"
 #include "lp/simplex.hpp"
-
-namespace gc::util {
-class ThreadPool;
-}
 
 namespace gc::core {
 
@@ -92,47 +87,11 @@ std::vector<CandidateLinkBand> build_fill_in_candidates(
 // yields the same schedule (checkpoint/resume replays exactly). Against a
 // workspace-free run, objectives and statuses match but a degenerate
 // relaxation may round a different (equally optimal) alpha.
-// `warm_keys` (optional, in/out) carries the cross-slot warm start
-// (ControllerOptions::warm_across_slots). On entry it holds the previous
-// slot's keys — one (tx, rx, band) key per variable of the LAST relaxation
-// that slot solved, aligned with the states `workspace` recorded. SF then
-// warm-starts its otherwise-cold first pass from every candidate whose key
-// recurs. On exit it holds this slot's last-pass keys. The hint only moves
-// the starting vertex, but a degenerate relaxation may round a different
-// (equally optimal) alpha than the cold run — which is why the controller
-// treats the carry as part of the checkpointed state: replay with the same
-// carry is exact. Pass nullptr (default) for the historical cold-start
-// behavior.
 std::vector<ScheduledLink> sequential_fix_schedule(
     const NetworkState& state, const SlotInputs& inputs, bool fill_in = true,
     double marginal_energy_price = 0.0, const lp::Options& lp_options = {},
-    lp::Workspace* workspace = nullptr,
-    std::vector<std::uint64_t>* warm_keys = nullptr);
+    lp::Workspace* workspace = nullptr);
 
-// Intra-slot cluster parallelism (docs/PERFORMANCE.md "Scaling past 500
-// nodes"). The SF relaxation couples candidates only through shared
-// endpoint nodes (the radio rows (22) and the per-(node, band) rows
-// (20)/(21)), so connected components of the endpoint-sharing graph are
-// independent LPs: solving them separately loses nothing of the
-// relaxation. This variant partitions the candidates into those
-// components, runs one SF series per cluster on `pool` (each with its own
-// workspace), and merges the schedules in cluster order — smallest node
-// index first — so the result is deterministic for ANY thread count. It is
-// not bit-identical to the unclustered SF: the heuristic's rounding step
-// picks the globally largest fractional alpha, the clustered one the
-// largest within each cluster. The fill-in pass stays global (it is a
-// cheap greedy and its candidates span clusters by design).
-//
-// Per-cluster LP statistics are buffered and forwarded to `stats_sink` in
-// cluster order after the join (nullptr = off), so sinks see the same
-// deterministic record stream at any thread count. Callers are responsible
-// for per-worker obs registries on `pool` (the controller installs them);
-// cluster jobs bump sched.* and lp.* instruments.
-std::vector<ScheduledLink> sequential_fix_schedule_clustered(
-    const NetworkState& state, const SlotInputs& inputs,
-    util::ThreadPool& pool, bool fill_in = true,
-    double marginal_energy_price = 0.0, const lp::Options& lp_options = {},
-    lp::SolveStatsSink* stats_sink = nullptr);
 std::vector<ScheduledLink> greedy_schedule(const NetworkState& state,
                                            const SlotInputs& inputs,
                                            bool fill_in = true,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
@@ -47,16 +46,8 @@ struct SimplexMetrics {
       obs::registry().counter("lp.warmstart_accepted");
   obs::Counter& warmstart_vars_reused =
       obs::registry().counter("lp.warmstart_vars_reused");
-  // Cross-slot warm starts (ControllerOptions::warm_across_slots): the
-  // subset of warm attempts/accepts whose hint crossed a slot boundary.
-  obs::Counter& warmstart_cross_slot_attempted =
-      obs::registry().counter("lp.warmstart_cross_slot_attempted");
-  obs::Counter& warmstart_cross_slot_accepted =
-      obs::registry().counter("lp.warmstart_cross_slot_accepted");
   obs::Counter& numeric_repairs = obs::registry().counter("lp.numeric_repairs");
-  // Sparse-storage volume (Options::sparse): solves routed to the sparse
-  // engine, and the end-of-solve tableau fill in nonzero entries.
-  obs::Counter& sparse_solves = obs::registry().counter("lp.sparse_solves");
+  // End-of-solve tableau fill in nonzero entries.
   obs::Histogram& fill_nonzeros =
       obs::registry().histogram("lp.fill_nonzeros");
   obs::Histogram& rows = obs::registry().histogram("lp.rows");
@@ -85,8 +76,7 @@ const char* to_string(Status s) {
   return "?";
 }
 
-// Friend-only door into Workspace internals shared by solve() and both
-// engine instantiations.
+// Friend-only door into Workspace internals used by solve().
 struct WorkspaceHooks {
   // Saves the structural variables' final states into the workspace (for
   // the next solve's warm start) and consumes the one-shot hint.
@@ -94,7 +84,6 @@ struct WorkspaceHooks {
     ws.prev_struct_state_.assign(ws.state_.begin(),
                                  ws.state_.begin() + nstruct);
     ws.warm_map_.clear();
-    ws.warm_cross_slot_ = false;
   }
 
   // Stores the finished solve's stats in the workspace and notifies its
@@ -106,29 +95,18 @@ struct WorkspaceHooks {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Tableau storage policies.
-//
-// The driver (SimplexEngineT) never touches coefficients directly; it goes
-// through this interface:
+// Dense tableau storage: the row-major tableau, column ntot holding
+// B^-1 b. The engine never touches coefficients directly; it goes through
 //   reset/load_rows/append_unit  build-time population
-//   rhs/set_rhs/negate_row       rhs column + row orientation flips
+//   rhs/negate_row               rhs column + row orientation flips
 //   scan_row                     nonzero (col, value) pairs, ascending col
 //   price_accumulate             d[j] -= cb * a_ij over the row
 //   gather_col                   nonzero (row, value) pairs, ascending row
 //   pivot                        elementary row operations for one pivot
-//
-// Bit-identity contract: the dense driver loops always skipped exact-zero
-// coefficients in every decision (pricing eligibility, ratio test,
-// basic-value updates, pivot row selection), and the skipped zero-term
-// arithmetic is an IEEE no-op except for the sign of zero, which no solver
-// predicate observes. Both storages therefore present the same nonzero
-// sequences in the same (ascending) order, the driver takes the same
-// decisions, and the two engines produce bit-identical solutions.
-// ---------------------------------------------------------------------------
-
-// Dense storage: the row-major tableau this solver has always used, column
-// ntot holding B^-1 b. Operation order matches the pre-policy code exactly.
+// The loops skip exact-zero coefficients in every decision (pricing
+// eligibility, ratio test, basic-value updates, pivot row selection). The
+// operation order below is the solver's bit-identity contract: reordering
+// any of it changes which vertex degenerate LPs end on.
 struct DenseTableau {
   explicit DenseTableau(Workspace& ws) : tab(ws.tab_) {}
 
@@ -214,151 +192,12 @@ struct DenseTableau {
   }
 };
 
-// Sparse storage: per-row sorted (column, value) entry lists plus a dense
-// rhs column. Exact-zero results of row updates are dropped instead of
-// stored — equivalent to the dense storage holding a 0.0 the driver skips
-// everywhere. Fill-in stays bounded on this project's block-structured
-// LPs (user blocks never couple to each other under pivoting), which is
-// where the asymptotic win over the dense tableau comes from.
-struct SparseTableau {
-  using Entry = std::pair<int, double>;
-  using Row = std::vector<Entry>;
-
-  explicit SparseTableau(Workspace& ws)
-      : rows(ws.sp_rows_), rhs_(ws.sp_rhs_), merge_(ws.sp_merge_) {}
-
-  void reset(int m_, int ntot_) {
-    m = m_;
-    ntot = ntot_;
-    if (static_cast<int>(rows.size()) < m) rows.resize(m);
-    for (int r = 0; r < m; ++r) rows[r].clear();
-    rhs_.assign(m, 0.0);
-  }
-
-  void load_rows(const Model& model) {
-    for (int r = 0; r < m; ++r) {
-      Row& row = rows[r];
-      for (auto [v, c] : model.row_entries(r))
-        if (c != 0.0) row.emplace_back(v, c);
-      // Model merges duplicate coefficients, so columns are unique and the
-      // sort recovers the ascending order the dense scans walk in.
-      std::sort(row.begin(), row.end());
-      rhs_[r] = model.row_rhs(r);
-    }
-  }
-
-  // Build-time slack/artificial placement: both use columns strictly above
-  // every column already in the row, so appending keeps rows sorted.
-  void append_unit(int r, int j, double v) { rows[r].emplace_back(j, v); }
-
-  double rhs(int r) const { return rhs_[r]; }
-
-  void negate_row(int r) {
-    for (auto& e : rows[r]) e.second = -e.second;
-    rhs_[r] = -rhs_[r];
-  }
-
-  template <class F>
-  void scan_row(int r, int jlimit, F&& f) const {
-    for (const auto& [j, a] : rows[r]) {
-      if (j >= jlimit) break;
-      f(j, a);
-    }
-  }
-
-  void price_accumulate(int i, double cb, double* d) const {
-    for (const auto& [j, a] : rows[i]) d[j] -= cb * a;
-  }
-
-  void gather_col(int e, std::vector<Entry>& out) const {
-    for (int i = 0; i < m; ++i) {
-      const Row& row = rows[i];
-      auto it = std::lower_bound(
-          row.begin(), row.end(), e,
-          [](const Entry& ent, int j) { return ent.first < j; });
-      if (it != row.end() && it->first == e) out.emplace_back(i, it->second);
-    }
-  }
-
-  void pivot(int row, int col, const std::vector<Entry>& col_cache) {
-    Row& prow = rows[row];
-    const double inv = 1.0 / value_at(prow, col);
-    for (auto& e : prow) e.second *= inv;
-    rhs_[row] *= inv;
-    set_value(prow, col, 1.0);  // kill roundoff
-    for (const auto& [i, f] : col_cache) {
-      if (i == row) continue;
-      merge_sub(rows[i], f, prow, col);
-      rhs_[i] -= f * rhs_[row];
-    }
-  }
-
-  std::int64_t nonzeros() const {
-    std::int64_t nnz = 0;
-    for (int r = 0; r < m; ++r) nnz += static_cast<std::int64_t>(rows[r].size());
-    return nnz;
-  }
-
-  std::vector<Row>& rows;
-  std::vector<double>& rhs_;
-  Row& merge_;
-  int m = 0, ntot = 0;
-
- private:
-  static double value_at(const Row& row, int col) {
-    auto it = std::lower_bound(
-        row.begin(), row.end(), col,
-        [](const Entry& ent, int j) { return ent.first < j; });
-    return it != row.end() && it->first == col ? it->second : 0.0;
-  }
-
-  static void set_value(Row& row, int col, double v) {
-    auto it = std::lower_bound(
-        row.begin(), row.end(), col,
-        [](const Entry& ent, int j) { return ent.first < j; });
-    if (it != row.end() && it->first == col) it->second = v;
-  }
-
-  // irow -= f * prow as a sorted merge; the entering column `col` is
-  // zeroed exactly (the dense code writes irow[col] = 0.0), and entries
-  // whose update cancels to exactly 0.0 are dropped.
-  void merge_sub(Row& irow, double f, const Row& prow, int col) {
-    merge_.clear();
-    std::size_t a = 0, b = 0;
-    const std::size_t na = irow.size(), nb = prow.size();
-    constexpr int kEnd = std::numeric_limits<int>::max();
-    while (a < na || b < nb) {
-      const int ja = a < na ? irow[a].first : kEnd;
-      const int jb = b < nb ? prow[b].first : kEnd;
-      if (ja < jb) {
-        if (ja != col) merge_.push_back(irow[a]);
-        ++a;
-      } else if (jb < ja) {
-        if (jb != col) {
-          const double v = -f * prow[b].second;
-          if (v != 0.0) merge_.emplace_back(jb, v);
-        }
-        ++b;
-      } else {
-        if (ja != col) {
-          const double v = irow[a].second - f * prow[b].second;
-          if (v != 0.0) merge_.emplace_back(ja, v);
-        }
-        ++a;
-        ++b;
-      }
-    }
-    irow.swap(merge_);
-  }
-};
-
-// The solver proper, templated on tableau storage. All working vectors live
-// in the caller's Workspace (bound by reference) so a long-lived workspace
-// turns every per-solve allocation into an assign() over retained capacity.
-template <class Tableau>
-class SimplexEngineT {
+// The solver proper. All working vectors live in the caller's Workspace
+// (bound by reference) so a long-lived workspace turns every per-solve
+// allocation into an assign() over retained capacity.
+class SimplexEngine {
  public:
-  SimplexEngineT(const Model& model, const Options& opt, Workspace& ws)
+  SimplexEngine(const Model& model, const Options& opt, Workspace& ws)
       : model_(model),
         opt_(opt),
         ws_(ws),
@@ -400,7 +239,7 @@ class SimplexEngineT {
   const Model& model_;
   const Options& opt_;
   Workspace& ws_;
-  Tableau tb_;
+  DenseTableau tb_;
 
   int m_ = 0;        // rows
   int nstruct_ = 0;  // structural variables
@@ -429,8 +268,7 @@ class SimplexEngineT {
   }
 };
 
-template <class Tableau>
-void SimplexEngineT<Tableau>::build() {
+void SimplexEngine::build() {
   m_ = model_.num_rows();
   nstruct_ = model_.num_variables();
 
@@ -469,7 +307,6 @@ void SimplexEngineT<Tableau>::build() {
                                           << " variables, model has "
                                           << nstruct_);
     stats_.warm_attempted = true;
-    stats_.warm_cross_slot = ws_.warm_cross_slot_;
     const int nprev = static_cast<int>(ws_.prev_struct_state_.size());
     for (int j = 0; j < nstruct_; ++j) {
       const int o = ws_.warm_map_[j];
@@ -525,8 +362,7 @@ void SimplexEngineT<Tableau>::build() {
   }
 }
 
-template <class Tableau>
-double SimplexEngineT<Tableau>::current_cost() const {
+double SimplexEngine::current_cost() const {
   double c = 0.0;
   for (int j = 0; j < ntot_; ++j)
     if (state_[j] != VarState::Basic && cost_[j] != 0.0)
@@ -535,8 +371,7 @@ double SimplexEngineT<Tableau>::current_cost() const {
   return c;
 }
 
-template <class Tableau>
-void SimplexEngineT<Tableau>::recompute_basic_values() {
+void SimplexEngine::recompute_basic_values() {
   lp_metrics().refactorizations.add();
   ++stats_.refactorizations;
   // x_B = (B^-1 b) - sum_{nonbasic j} (B^-1 A_j) * xval_j; both factors live
@@ -552,8 +387,7 @@ void SimplexEngineT<Tableau>::recompute_basic_values() {
   }
 }
 
-template <class Tableau>
-int SimplexEngineT<Tableau>::price(bool bland) {
+int SimplexEngine::price(bool bland) {
   // Reduced costs d_j = c_j - c_B^T (B^-1 A_j), accumulated row-wise so the
   // tableau is walked storage-friendly.
   double* d = dscratch_.data();
@@ -585,8 +419,7 @@ int SimplexEngineT<Tableau>::price(bool bland) {
   return best;
 }
 
-template <class Tableau>
-Status SimplexEngineT<Tableau>::iterate(int* iter_budget) {
+Status SimplexEngine::iterate(int* iter_budget) {
   bool bland = false;
   int stall = 0;
   double best_obj = current_cost();
@@ -700,8 +533,7 @@ Status SimplexEngineT<Tableau>::iterate(int* iter_budget) {
   }
 }
 
-template <class Tableau>
-Solution SimplexEngineT<Tableau>::run_phases() {
+Solution SimplexEngine::run_phases() {
   Solution sol;
   int budget = opt_.max_iterations;
   if (opt_.max_seconds > 0.0) {
@@ -772,32 +604,6 @@ Solution SimplexEngineT<Tableau>::run_phases() {
   return sol;
 }
 
-namespace {
-
-// Storage selection (Options::sparse): Auto routes a solve to the sparse
-// engine when the dense tableau would be big (cells = rows x (total
-// columns + 1), counting slacks and artificials) AND the structural
-// coefficient matrix is thin. Pure speed heuristic — both engines produce
-// bit-identical results.
-bool pick_sparse(const Model& model, const Options& options,
-                 std::int64_t nnz) {
-  if (options.sparse == SparseMode::Force) return true;
-  if (options.sparse == SparseMode::Never) return false;
-  const std::int64_t rows = model.num_rows();
-  const std::int64_t cols = model.num_variables();
-  if (rows <= 0 || cols <= 0) return false;
-  std::int64_t nslack = 0;
-  for (int r = 0; r < rows; ++r)
-    if (model.row_sense(r) != Sense::Equal) ++nslack;
-  const std::int64_t cells = rows * (cols + nslack + rows + 1);
-  if (cells < options.sparse_min_cells) return false;
-  const double density =
-      static_cast<double>(nnz) / static_cast<double>(rows * cols);
-  return density <= options.sparse_max_density;
-}
-
-}  // namespace
-
 Solution solve(const Model& model, const Options& options,
                Workspace& workspace) {
   SimplexMetrics& m = lp_metrics();
@@ -810,19 +616,10 @@ Solution solve(const Model& model, const Options& options,
   std::int64_t nnz = 0;
   for (int r = 0; r < model.num_rows(); ++r)
     nnz += static_cast<std::int64_t>(model.row_entries(r).size());
-  const bool use_sparse = pick_sparse(model, options, nnz);
 
-  Solution sol;
-  SolveStats stats;
-  if (use_sparse) {
-    SimplexEngineT<SparseTableau> s(model, options, workspace);
-    sol = s.run();
-    stats = s.stats();
-  } else {
-    SimplexEngineT<DenseTableau> s(model, options, workspace);
-    sol = s.run();
-    stats = s.stats();
-  }
+  SimplexEngine engine(model, options, workspace);
+  Solution sol = engine.run();
+  SolveStats stats = engine.stats();
   // Record the structural variables' final states for the next solve's
   // warm start and consume the (one-shot) hint that fed this one.
   WorkspaceHooks::record_warm_state(workspace, model.num_variables());
@@ -836,7 +633,6 @@ Solution solve(const Model& model, const Options& options,
   stats.rows = model.num_rows();
   stats.cols = model.num_variables();
   stats.nonzeros = static_cast<int>(nnz);
-  stats.sparse = use_sparse;
   stats.wall_s = wall.elapsed_seconds();
   stats.status = sol.status;
   // "Accepted" = the hint survived to the engine and mapped at least one
@@ -851,12 +647,7 @@ Solution solve(const Model& model, const Options& options,
   // Only warm solves contribute, so events() counts attempts, not solves.
   if (stats.warm_attempted)
     m.warmstart_vars_reused.add(stats.warm_vars_reused);
-  if (stats.warm_attempted && stats.warm_cross_slot)
-    m.warmstart_cross_slot_attempted.add();
-  if (warm_accepted && stats.warm_cross_slot)
-    m.warmstart_cross_slot_accepted.add();
   m.numeric_repairs.add(stats.numeric_repairs);
-  if (use_sparse) m.sparse_solves.add();
   m.fill_nonzeros.observe(static_cast<double>(stats.fill_nonzeros));
   m.rows.observe(stats.rows);
   m.cols.observe(stats.cols);

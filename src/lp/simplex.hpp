@@ -12,16 +12,6 @@
 // Bland's rule after a stall, which guarantees termination on degenerate
 // problems.
 //
-// Storage: the solver is one driver over two interchangeable tableau
-// storages. The dense storage (row-major array) wins on the small LPs the
-// paper topology produces; the sparse storage (per-row sorted column/value
-// entry lists) wins once the tableau grows past ~10^5 cells with low fill,
-// which is exactly what the block-structured S1/S4 LPs of 500+-node
-// scenarios look like. Options::sparse selects the storage (Auto picks by
-// size and nonzero density). Both storages expose the same nonzero
-// sequences in the same order to the driver, so the pivot sequence — and
-// therefore every status, objective and solution — is bit-identical
-// between them; the choice affects speed only.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +37,6 @@ enum class Status {
 
 const char* to_string(Status s);
 
-// Tableau storage selection (see the header comment): Auto decides per
-// solve from the posed problem's size and density, Force always uses the
-// sparse storage, Never always uses the dense one. Purely a speed choice —
-// results are bit-identical either way.
-enum class SparseMode { Auto, Force, Never };
-
 struct Options {
   int max_iterations = 200000;
   // Wall-clock budget per solve in seconds; 0 (the default) = unlimited.
@@ -70,14 +54,6 @@ struct Options {
   int stall_limit = 200;
   // Recompute basic values from the tableau every this many pivots.
   int refresh_every = 128;
-  // Tableau storage (docs/PERFORMANCE.md "Scaling past 500 nodes"). Auto
-  // uses the sparse storage when the dense tableau would hold at least
-  // `sparse_min_cells` cells AND the structural coefficient density
-  // (nonzeros / (rows x cols)) is at most `sparse_max_density`; the
-  // thresholds keep every paper-scale LP on the dense fast path.
-  SparseMode sparse = SparseMode::Auto;
-  std::int64_t sparse_min_cells = 1 << 18;
-  double sparse_max_density = 0.02;
 };
 
 struct Solution {
@@ -125,17 +101,9 @@ struct SolveStats {
   // Status::NumericalError).
   int numeric_repairs = 0;
 
-  // Storage the solve actually ran on (Options::sparse selection) and the
-  // tableau's nonzero entry count when the solve ended. For the sparse
-  // storage fill_nonzeros measures fill-in (entries created by pivoting);
-  // fill_nonzeros << rows x cols is why the sparse engine wins.
-  bool sparse = false;
+  // The tableau's nonzero entry count when the solve ended (fill-in from
+  // pivoting included).
   std::int64_t fill_nonzeros = 0;
-
-  // The warm hint consumed by this solve was marked cross-slot (carried
-  // from the previous slot's solve of the same subproblem rather than from
-  // the same slot's sequential-fix series). See Workspace::set_warm_start.
-  bool warm_cross_slot = false;
 
   double wall_s = 0.0;
   Status status = Status::IterationLimit;
@@ -184,23 +152,15 @@ enum class VarState : std::uint8_t { AtLower, AtUpper, Basic };
 // so statuses and objective values are unaffected; only the vertex reached
 // among ties and the iteration count may differ.
 struct DenseTableau;
-struct SparseTableau;
 struct WorkspaceHooks;
-template <class Tableau> class SimplexEngineT;
+class SimplexEngine;
 
 class Workspace {
  public:
   // `map[j]` = index of the variable in the PREVIOUS solve that variable j
   // of the NEXT model corresponds to, or -1 for a brand-new variable. The
-  // map's size must equal the next model's variable count. `cross_slot`
-  // tags the hint as carried across a slot boundary (rather than within a
-  // slot's solve series) so SolveStats and the lp.warmstart_cross_slot_*
-  // instruments can account for it separately; it does not change solver
-  // behavior.
-  void set_warm_start(std::vector<int> map, bool cross_slot = false) {
-    warm_map_ = std::move(map);
-    warm_cross_slot_ = cross_slot;
-  }
+  // map's size must equal the next model's variable count.
+  void set_warm_start(std::vector<int> map) { warm_map_ = std::move(map); }
 
   // Drops the recorded states and any pending hint (buffers keep their
   // capacity). Use when switching the workspace to an unrelated model
@@ -209,25 +169,6 @@ class Workspace {
   void clear_warm_start() {
     warm_map_.clear();
     prev_struct_state_.clear();
-    warm_cross_slot_ = false;
-  }
-
-  // Cross-slot warm-start carry (ControllerOptions::warm_across_slots;
-  // sim/checkpoint.cpp). The recorded structural states from the most
-  // recent solve, exported as raw bytes for checkpointing and re-imported
-  // on resume, so a resumed run feeds the exact same warm hints to its
-  // first slot that the uninterrupted run would have — replay stays
-  // bit-identical. The encoding is VarState's underlying byte.
-  std::vector<std::uint8_t> export_recorded_states() const {
-    std::vector<std::uint8_t> out(prev_struct_state_.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] = static_cast<std::uint8_t>(prev_struct_state_[i]);
-    return out;
-  }
-  void import_recorded_states(const std::vector<std::uint8_t>& states) {
-    prev_struct_state_.resize(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i)
-      prev_struct_state_[i] = static_cast<VarState>(states[i]);
   }
 
   // Introspection (docs/PERFORMANCE.md "Profiling workflow"): the most
@@ -247,27 +188,20 @@ class Workspace {
   void set_stats_sink(SolveStatsSink* sink) { stats_sink_ = sink; }
 
  private:
-  template <class Tableau> friend class SimplexEngineT;
+  friend class SimplexEngine;
   friend struct DenseTableau;
-  friend struct SparseTableau;
   friend struct WorkspaceHooks;
   std::vector<double> tab_, lo_, hi_, cost_, xb_, dscratch_;
   std::vector<VarState> state_;
   std::vector<int> basis_;
-  // Sparse-storage buffers (SimplexEngineT<SparseTableau>): per-row sorted
-  // (column, value) entry lists, the rhs column, and a merge scratch row.
-  std::vector<std::vector<std::pair<int, double>>> sp_rows_;
-  std::vector<double> sp_rhs_;
-  std::vector<std::pair<int, double>> sp_merge_;
-  // Entering-column cache shared by both storages: gathered once per
-  // iteration, it serves the ratio test, bound flips, basic-value updates
-  // and the pivot's row eliminations.
+  // Entering-column cache: gathered once per iteration, it serves the
+  // ratio test, bound flips, basic-value updates and the pivot's row
+  // eliminations.
   std::vector<std::pair<int, double>> colbuf_;
   // Structural-variable states after the most recent solve + the pending
   // one-shot correspondence hint.
   std::vector<VarState> prev_struct_state_;
   std::vector<int> warm_map_;
-  bool warm_cross_slot_ = false;
   // Introspection state (observation only).
   SolveStats last_stats_;
   const char* stats_context_ = "";

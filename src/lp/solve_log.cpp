@@ -28,15 +28,13 @@ void JsonlSolveLog::on_solve(const SolveStats& stats, const char* context) {
       "\"phase1_iters\":%d,\"phase2_iters\":%d,\"pivots\":%d,"
       "\"degenerate_pivots\":%d,\"bound_flips\":%d,\"refactorizations\":%d,"
       "\"bland\":%s,\"warm_attempted\":%s,\"warm_vars_reused\":%d,"
-      "\"warm_cross_slot\":%s,\"sparse\":%s,\"fill_nonzeros\":%lld,"
-      "\"numeric_repairs\":%d,\"status\":\"%s\",\"wall_s\":%.9f}",
+      "\"fill_nonzeros\":%lld,\"numeric_repairs\":%d,\"status\":\"%s\","
+      "\"wall_s\":%.9f}",
       context != nullptr ? context : "", slot_, stats.rows, stats.cols,
       stats.nonzeros, stats.phase1_iterations, stats.phase2_iterations,
       stats.pivots, stats.degenerate_pivots, stats.bound_flips,
       stats.refactorizations, stats.bland ? "true" : "false",
       stats.warm_attempted ? "true" : "false", stats.warm_vars_reused,
-      stats.warm_cross_slot ? "true" : "false",
-      stats.sparse ? "true" : "false",
       static_cast<long long>(stats.fill_nonzeros), stats.numeric_repairs,
       to_string(stats.status), stats.wall_s);
   out_ << buf << '\n';

@@ -205,19 +205,6 @@ std::string serialize_payload(const Checkpoint& checkpoint) {
     put_f64(out, a.window_cost_delta);
   }
 
-  put_u32(out, checkpoint.has_warm ? 1 : 0);
-  if (checkpoint.has_warm) {
-    const auto& w = checkpoint.warm;
-    put_u64(out, w.s1_states.size());
-    out.write(reinterpret_cast<const char*>(w.s1_states.data()),
-              static_cast<std::streamsize>(w.s1_states.size()));
-    put_u64(out, w.s1_keys.size());
-    for (std::uint64_t k : w.s1_keys) put_u64(out, k);
-    put_u64(out, w.s4_states.size());
-    out.write(reinterpret_cast<const char*>(w.s4_states.data()),
-              static_cast<std::streamsize>(w.s4_states.size()));
-  }
-
   put_u32(out, checkpoint.has_policy ? 1 : 0);
   if (checkpoint.has_policy) {
     const policy::SleepControllerState& p = checkpoint.policy_state;
@@ -248,16 +235,6 @@ std::string serialize_payload(const Checkpoint& checkpoint) {
     }
   }
   return out.str();
-}
-
-std::vector<std::uint8_t> get_bytes(std::istream& in) {
-  const std::uint64_t size = get_u64(in);
-  if (size > (1ull << 28)) corrupt("checkpoint byte-blob size implausible");
-  std::vector<std::uint8_t> v(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size));
-  if (!in.good() && size > 0) corrupt("checkpoint truncated");
-  return v;
 }
 
 Checkpoint parse_payload(std::istream& in) {
@@ -338,16 +315,6 @@ Checkpoint parse_payload(std::istream& in) {
     a.prev_window_cost_mean = get_f64(in);
     a.have_prev_window = get_u32(in) != 0;
     a.window_cost_delta = get_f64(in);
-  }
-
-  c.has_warm = get_u32(in) != 0;
-  if (c.has_warm) {
-    c.warm.s1_states = get_bytes(in);
-    const std::uint64_t keys = get_u64(in);
-    if (keys > (1ull << 28)) corrupt("checkpoint warm-key count implausible");
-    c.warm.s1_keys.resize(static_cast<std::size_t>(keys));
-    for (auto& k : c.warm.s1_keys) k = get_u64(in);
-    c.warm.s4_states = get_bytes(in);
   }
 
   c.has_policy = get_u32(in) != 0;
@@ -434,10 +401,6 @@ Checkpoint make_checkpoint(int next_slot, const Rng& input_rng,
     c.has_audit = true;
     c.audit = auditor->state_snapshot();
   }
-  if (controller.options().warm_across_slots) {
-    c.has_warm = true;
-    c.warm = controller.warm_carry();
-  }
   if (sleep != nullptr) {
     c.has_policy = true;
     c.policy_state = sleep->snapshot();
@@ -502,10 +465,6 @@ void restore_checkpoint(const Checkpoint& checkpoint, Rng& input_rng,
   }
   if (auditor != nullptr && checkpoint.has_audit)
     auditor->restore(checkpoint.audit);
-  // Warm-carry restore is unconditional: a carry-free checkpoint resets
-  // the controller to a cold start (all vectors empty), so a warm-off
-  // checkpoint resumed by a warm-on run does not inherit stale hints.
-  controller.restore_warm_carry(checkpoint.warm);
   if (sleep != nullptr) sleep->restore(checkpoint.policy_state);
   if (alerts != nullptr && checkpoint.has_alerts)
     alerts->restore(checkpoint.alert_state);
@@ -550,8 +509,8 @@ Checkpoint load_checkpoint(const std::string& path) {
             " in " + path + " (this build reads v" +
             std::to_string(kCheckpointVersion) +
             " only; older checkpoints lack the CRC, structural-hash, "
-            "auditor, warm-start-carry, sleep-policy and alert-state "
-            "fields — re-run from slot 0)");
+            "auditor, sleep-policy and alert-state fields or carry a "
+            "retired warm-start section — re-run from slot 0)");
   const std::uint64_t payload_size = get_u64(hdr);
   const std::uint32_t stored_crc = get_u32(hdr);
   if (data.size() - kHeader != payload_size)

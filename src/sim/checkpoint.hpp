@@ -13,26 +13,21 @@
 //  * optionally the mobility walker (trips + RNG) and the user positions,
 //  * optionally the StabilityAuditor's accumulated state, so a resumed
 //    run's stability digest matches an uninterrupted run's,
-//  * optionally the controller's cross-slot LP warm-start carry
-//    (ControllerOptions::warm_across_slots), so the resumed run's first
-//    slot warm-starts from exactly the hints the uninterrupted run would
-//    have used — replay stays bit-identical even though warm starts make
-//    each slot's schedule depend on the previous slot's LP bases.
-//
 //  * optionally the sleep-policy controller's mode state (src/policy:
 //    per-BS mode, dwell and wake countdowns plus the switching counters),
 //    so a killed + resumed run replays sleep/wake commands bit-identically.
 //
 // Serialization is a versioned binary format: the 8-byte magic "GCCKPT01",
-// a u32 format version (currently 6), a u64 payload size, a CRC-32 of the
+// a u32 format version (currently 7), a u64 payload size, a CRC-32 of the
 // payload, then the payload itself as fixed-width little-endian fields
 // (doubles as their IEEE-754 bit patterns, so the round trip is bit-exact).
 // v3 added the size + CRC header, the structural scenario hash, and the
-// auditor state; v4 the warm-start carry; v5 the sleep-policy state; v6
-// the alert-engine state (obs/alerts.hpp), so a resumed run's debounce
-// counters and fire/clear edges replay exactly;
-// older files are refused loudly —
-// re-run from slot 0 rather than resuming with silently missing state. save_checkpoint writes to a
+// auditor state; v4 a cross-slot LP warm-start carry; v5 the sleep-policy
+// state; v6 the alert-engine state (obs/alerts.hpp), so a resumed run's
+// debounce counters and fire/clear edges replay exactly; v7 dropped the
+// warm-start carry again (no LP warm hint crosses a slot any more). Other
+// versions are refused loudly — re-run from slot 0 rather than resuming
+// with silently missing or misread state. save_checkpoint writes to a
 // temp file, fsyncs it, and renames it into place, so neither a crash
 // mid-write nor a power loss after the rename corrupts the previous
 // checkpoint. Every load-time corruption (truncation, bit flip, wrong
@@ -66,7 +61,7 @@
 namespace gc::sim {
 
 inline constexpr char kCheckpointMagic[9] = "GCCKPT01";
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 // Load-time corruption (missing file, bad magic, unsupported version,
 // truncation, CRC mismatch, trailing bytes). A CheckError subtype so
@@ -106,11 +101,6 @@ struct Checkpoint {
   // Stability auditor accumulators (absent for audit-off runs).
   bool has_audit = false;
   obs::AuditorState audit;
-
-  // Cross-slot LP warm-start carry (absent unless the run enables
-  // ControllerOptions::warm_across_slots).
-  bool has_warm = false;
-  core::LyapunovController::WarmCarry warm;
 
   // Sleep-policy controller state (absent unless the run drives an active
   // policy::SleepController). v5.

@@ -7,9 +7,6 @@
 //  * the forced S4 base-station/user decomposition reproduces the joint
 //    LP's optimum, and Auto keeps the historical joint path bit for bit
 //    below its node threshold.
-// The trajectory-level guarantees (sparse-vs-dense bit equality, cluster
-// thread-count invariance, warm-start resume) live in
-// tests/sim/perf_levers_test.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,7 +17,6 @@
 #include "core/scheduler.hpp"
 #include "net/link_prune.hpp"
 #include "sim/scenario.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gc::core {
 namespace {
@@ -248,39 +244,6 @@ TEST(S4Decompose, AutoKeepsJointPathBitForBitBelowThreshold) {
               bits(b.decisions[i].curtailed_j));
     EXPECT_EQ(bits(a.decisions[i].unserved_j),
               bits(b.decisions[i].unserved_j));
-  }
-}
-
-TEST(S4Decompose, UserClosedFormsAreThreadCountInvariant) {
-  const auto model = sim::ScenarioConfig::tiny().build();
-  NetworkState state(model, 3.0);
-  const SlotInputs inputs = energy_inputs(model);
-  const auto demands = demands_with_traffic(model);
-
-  EnergyLpOptions serial;
-  serial.decompose = S4Decompose::Force;
-  EnergyLpOptions pooled = serial;
-  util::ThreadPoolOptions popt;
-  popt.num_threads = 3;
-  util::ThreadPool pool(popt);
-  pooled.pool = &pool;
-
-  const EnergyResult a = lp_energy_manage(state, inputs, demands, serial);
-  const EnergyResult b = lp_energy_manage(state, inputs, demands, pooled);
-
-  // Pooled user chunks write disjoint ranges of a preallocated vector, so
-  // the result is bit-identical to the serial split, not merely close.
-  ASSERT_EQ(a.decisions.size(), b.decisions.size());
-  EXPECT_EQ(bits(a.objective), bits(b.objective));
-  EXPECT_EQ(bits(a.grid_total_j), bits(b.grid_total_j));
-  EXPECT_EQ(bits(a.cost), bits(b.cost));
-  for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-    EXPECT_EQ(bits(a.decisions[i].serve_grid_j),
-              bits(b.decisions[i].serve_grid_j))
-        << "node " << i;
-    EXPECT_EQ(bits(a.decisions[i].discharge_j),
-              bits(b.decisions[i].discharge_j))
-        << "node " << i;
   }
 }
 

@@ -9,6 +9,9 @@
 #include <string>
 
 #include "core/controller.hpp"
+#include "obs/profile.hpp"
+#include "obs/registry.hpp"
+#include "obs/timer.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
@@ -110,6 +113,39 @@ TEST(ScenarioRun, ResumeUnderDifferentScenarioHashIsRefused) {
   const sim::Metrics resumed = run_config(spec.config, 10, matched);
   EXPECT_EQ(resumed.slots, 10);
   std::remove(ckpt.c_str());
+}
+
+// Counts the "lp.solve" spans below `node`, split by whether a
+// "controller.step" node encloses them.
+void count_lp_solves(const obs::ProfileNode& node, bool under_step,
+                     std::int64_t* inside, std::int64_t* outside) {
+  for (const auto& [name, child] : node.children) {
+    if (name == "lp.solve") *(under_step ? inside : outside) += child.count;
+    count_lp_solves(child, under_step || name == "controller.step", inside,
+                    outside);
+  }
+}
+
+// Every LP a default run solves happens on the controller's thread inside
+// its step, so a profile of a default flash-crowd run (spike included)
+// attributes every lp.solve span under controller.step and re-roots none.
+TEST(ScenarioRun, FlashCrowdProfileNestsEveryLpSolveUnderControllerStep) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const ScenarioSpec spec = load_scenario_file(
+      std::string(GC_SCENARIO_EXAMPLES_DIR) + "/flash_crowd.json");
+  auto& rec = obs::SpanRecorder::instance();
+  rec.enable();
+  run_config(spec.config, 60);
+  const std::int64_t dropped = rec.dropped();
+  const obs::Profile p = obs::build_profile(rec.drain());
+  rec.disable();
+
+  EXPECT_EQ(dropped, 0);
+  EXPECT_EQ(p.orphans, 0);
+  std::int64_t inside = 0, outside = 0;
+  count_lp_solves(p.root, false, &inside, &outside);
+  EXPECT_GT(inside, 0);
+  EXPECT_EQ(outside, 0);
 }
 
 }  // namespace

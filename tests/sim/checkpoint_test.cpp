@@ -446,9 +446,10 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
                    std::istreambuf_iterator<char>());
   in.close();
   // The u32 format version sits right after the 8-byte magic
-  // (little-endian); rewrite v6 -> v5 to fake a pre-alerts checkpoint.
-  ASSERT_EQ(data[8], 6);
-  data[8] = 5;
+  // (little-endian); rewrite v7 -> v6 to fake a checkpoint that still
+  // carries the retired cross-slot warm-start section.
+  ASSERT_EQ(data[8], 7);
+  data[8] = 6;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
@@ -458,8 +459,9 @@ TEST(Checkpoint, VersionRefusalNamesFoundAndSupportedVersions) {
     FAIL() << "expected CheckpointError";
   } catch (const CheckpointError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("version 5"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("reads v6"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unsupported checkpoint version 6"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("reads v7"), std::string::npos) << msg;
     EXPECT_NE(msg.find(path), std::string::npos) << msg;
   }
   std::remove(path.c_str());

