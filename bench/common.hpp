@@ -49,8 +49,7 @@ sim::Metrics run_controller(const sim::ScenarioConfig& cfg, double V,
                             int slots);
 
 // Observability columns appended to the bench CSVs: mean per-slot wall time
-// in milliseconds for each subproblem and the whole controller step (all
-// zeros when built with GC_OBS_DISABLE).
+// in milliseconds for each subproblem and the whole controller step.
 std::vector<std::string> timing_headers();
 std::vector<double> timing_columns(const sim::Metrics& m);
 // `base` with the timing columns appended — CSV-row convenience.

@@ -24,10 +24,9 @@ struct ControllerMetrics {
   obs::Counter& curtailed_j = obs::registry().counter("energy.curtailed_j");
   obs::Counter& unserved_j = obs::registry().counter("energy.unserved_j");
   // Fallback ladder (docs/ROBUSTNESS.md): slots where an LP-based solver
-  // failed and the cheaper one took over, per subproblem, plus the total
-  // count of degraded slots.
+  // failed and the cheaper one took over, per LP-backed subproblem (S1,
+  // S4), plus the total count of degraded slots.
   obs::Counter& fallback_s1 = obs::registry().counter("ctrl.fallback_s1");
-  obs::Counter& fallback_s3 = obs::registry().counter("ctrl.fallback_s3");
   obs::Counter& fallback_s4 = obs::registry().counter("ctrl.fallback_s4");
   obs::Counter& degraded = obs::registry().counter("ctrl.degraded_slots");
 };
@@ -45,10 +44,8 @@ LyapunovController::LyapunovController(const NetworkModel& model, double V,
   // Label each workspace with its subproblem so SolveStats consumers (the
   // --lp-log stream, tests) can split the LP workload by solve class.
   lp_ws_s1_.set_stats_context("s1");
-  lp_ws_s3_.set_stats_context("s3");
   lp_ws_s4_.set_stats_context("s4");
   lp_ws_s1_.set_stats_sink(options_.lp_stats);
-  lp_ws_s3_.set_stats_sink(options_.lp_stats);
   lp_ws_s4_.set_stats_sink(options_.lp_stats);
 }
 
@@ -65,16 +62,18 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
 
   ControllerMetrics& m = metrics();
   SlotDecision decision;
-  obs::ScopedTimer step_timer(m.step, &decision.timing.step_s);
-  // Span dims annotate problem sizes for the profiler (obs/profile.hpp):
-  // the step carries the topology size, each subproblem its own decision
-  // count (links scheduled, routes, energy demands).
-  obs::Span step_span("controller.step", state_.slot(), model_->num_nodes());
+  // Each span times its scope once for the profiler, the ctrl.*_seconds
+  // histogram and the decision's SlotTimings. Span dims annotate problem
+  // sizes for the profiler (obs/profile.hpp): the step carries the topology
+  // size, each subproblem its own decision count (links scheduled, routes,
+  // energy demands).
+  obs::Span step_span("controller.step", state_.slot(), model_->num_nodes(),
+                      &m.step, &decision.timing.step_s);
 
   // S2 — source selection + admission control.
   {
-    obs::ScopedTimer t(m.s2, &decision.timing.s2_s);
-    obs::Span span("controller.s2_admission", state_.slot());
+    obs::Span span("controller.s2_admission", state_.slot(), -1, &m.s2,
+                   &decision.timing.s2_s);
     decision.admissions =
         allocate_resources(state_, options_.allocator, &inputs);
   }
@@ -84,8 +83,8 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // limit, infeasibility, numerical trouble) degrades to the greedy
   // scheduler for this slot instead of aborting the run.
   {
-    obs::ScopedTimer t(m.s1, &decision.timing.s1_s);
-    obs::Span span("controller.s1_schedule", state_.slot());
+    obs::Span span("controller.s1_schedule", state_.slot(), -1, &m.s1,
+                   &decision.timing.s1_s);
     const double energy_price =
         options_.energy_aware_scheduling
             ? state_.V() * model_->cost_at(state_.slot())
@@ -117,33 +116,15 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
     span.set_dim(static_cast<std::int64_t>(decision.schedule.size()));
   }
 
-  // S3 — routing over the realized capacities (ladder: Lp -> Greedy).
+  // S3 — routing over the realized capacities.
   {
-    obs::ScopedTimer t(m.s3, &decision.timing.s3_s);
-    obs::Span span("controller.s3_routing", state_.slot());
+    obs::Span span("controller.s3_routing", state_.slot(), -1, &m.s3,
+                   &decision.timing.s3_s);
     const std::vector<double>* demand =
         inputs.session_demand_packets.empty() ? nullptr
                                               : &inputs.session_demand_packets;
-    RoutingResult routing;
-    if (options_.router == ControllerOptions::Router::Lp) {
-      if (options_.fallbacks) {
-        try {
-          routing = lp_route(state_, decision.schedule, decision.admissions,
-                             options_.lp, &lp_ws_s3_, demand);
-        } catch (const CheckError&) {
-          m.fallback_s3.add();
-          ++decision.fallbacks;
-          routing = greedy_route(state_, decision.schedule,
-                                 decision.admissions, demand);
-        }
-      } else {
-        routing = lp_route(state_, decision.schedule, decision.admissions,
-                           options_.lp, &lp_ws_s3_, demand);
-      }
-    } else {
-      routing = greedy_route(state_, decision.schedule, decision.admissions,
-                             demand);
-    }
+    RoutingResult routing = greedy_route(state_, decision.schedule,
+                                         decision.admissions, demand);
     decision.routes = std::move(routing.routes);
     decision.demand_shortfall = std::move(routing.demand_shortfall);
     span.set_dim(static_cast<std::int64_t>(decision.routes.size()));
@@ -155,8 +136,8 @@ SlotDecision LyapunovController::step(const SlotInputs& inputs) {
   // (plus switching energy), which it still purchases normally; an awake
   // node with a pending switch charge (instant wake) pays it on top.
   {
-    obs::ScopedTimer t(m.s4, &decision.timing.s4_s);
-    obs::Span span("controller.s4_energy", state_.slot());
+    obs::Span span("controller.s4_energy", state_.slot(), -1, &m.s4,
+                   &decision.timing.s4_s);
     std::vector<double> demands =
         compute_energy_demands(*model_, decision.schedule);
     span.set_dim(static_cast<std::int64_t>(demands.size()));

@@ -37,13 +37,12 @@ struct ControllerOptions {
   // LP at a mean relative gap of -5.1e-6 (price marginally better) and
   // ~1000-1750x faster per solve.
   enum class EnergyManager { Lp, Price } energy_manager = EnergyManager::Lp;
-  enum class Router { Greedy, Lp } router = Router::Greedy;
   // Watchdog budget applied to every LP solve the subproblems issue
   // (iterations and, if max_seconds > 0, wall-clock). The defaults are the
   // solver's own generous limits; long unattended runs tighten them.
   lp::Options lp;
   // Per-solve LP introspection sink (e.g. lp::JsonlSolveLog), attached to
-  // the controller's three workspaces with contexts "s1"/"s3"/"s4".
+  // the controller's two workspaces with contexts "s1"/"s4".
   // Observation only — never changes decisions; nullptr = off. Must
   // outlive the controller and be thread-safe when controllers share it.
   lp::SolveStatsSink* lp_stats = nullptr;
@@ -51,8 +50,8 @@ struct ControllerOptions {
   // solver fails (Infeasible / IterationLimit / TimeLimit / NumericalError,
   // surfaced as gc::CheckError), retry the slot's subproblem with the
   // cheaper closed-form solver instead of aborting the run:
-  //   S1 SequentialFix -> Greedy, S3 Lp -> Greedy, S4 Lp -> Price.
-  // Every drop bumps ctrl.fallback_s{1,3,4} and marks the decision
+  //   S1 SequentialFix -> Greedy, S4 Lp -> Price.
+  // Every drop bumps ctrl.fallback_s{1,4} and marks the decision
   // degraded. Off = the strict mode tests rely on (failures propagate).
   bool fallbacks = true;
 };
@@ -88,7 +87,7 @@ class LyapunovController {
   // sequential-fix series through lp_ws_s1_; see scheduler.hpp). Purely
   // solver-internal: no warm hint crosses a slot, so none of it is
   // checkpointed.
-  lp::Workspace lp_ws_s1_, lp_ws_s3_, lp_ws_s4_;
+  lp::Workspace lp_ws_s1_, lp_ws_s4_;
 };
 
 }  // namespace gc::core

@@ -61,23 +61,28 @@ NetworkModel::NetworkModel(net::Topology topology, net::Spectrum spectrum,
   // B of eq. (34). l_s^max in the paper bounds the admission burst; the
   // source is always a base station, so the indicator contributes only for
   // base-station nodes.
+  // The per-node in/out bounds do not depend on the session, so they are
+  // scanned once; the sum below keeps its session-major order.
+  std::vector<double> out_max(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> in_max(static_cast<std::size_t>(n), 0.0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (j == i) continue;
+      out_max[i] = std::max(out_max[i], max_link_packets(i, j));
+      in_max[i] = std::max(in_max[i], max_link_packets(j, i));
+    }
+    // With R_i radios a node can serve/receive on up to R_i links at once,
+    // so the per-slot in/out bounds scale by R_i.
+    out_max[i] *= nodes_[i].num_radios;
+    in_max[i] *= nodes_[i].num_radios;
+  }
   const int S = num_sessions();
   double b1 = 0.0;  // data-queue term
   for (int s = 0; s < S; ++s) {
     for (int i = 0; i < n; ++i) {
-      // With R_i radios a node can serve/receive on up to R_i links at
-      // once, so the per-slot in/out bounds scale by R_i.
-      double out_max = 0.0, in_max = 0.0;
-      for (int j = 0; j < n; ++j) {
-        if (j == i) continue;
-        out_max = std::max(out_max, max_link_packets(i, j));
-        in_max = std::max(in_max, max_link_packets(j, i));
-      }
-      out_max *= nodes_[i].num_radios;
-      in_max *= nodes_[i].num_radios;
       const double admit =
           topo_.is_base_station(i) ? sessions_[s].max_admit_packets : 0.0;
-      b1 += out_max * out_max + (in_max + admit) * (in_max + admit);
+      b1 += out_max[i] * out_max[i] + (in_max[i] + admit) * (in_max[i] + admit);
     }
   }
   b1 *= 0.5;

@@ -136,8 +136,6 @@ RoutingResult greedy_route(const NetworkState& state,
 RoutingResult lp_route(const NetworkState& state,
                        const std::vector<ScheduledLink>& schedule,
                        const std::vector<AdmissionDecision>& admissions,
-                       const lp::Options& lp_options,
-                       lp::Workspace* workspace,
                        const std::vector<double>* demand) {
   const auto& model = state.model();
   const int S = model.num_sessions();
@@ -195,9 +193,7 @@ RoutingResult lp_route(const NetworkState& state,
       m.set_objective_coeff(v, m.objective_coeff(v) - dominate);
   }
 
-  lp::Workspace local_ws;
-  const lp::Solution sol =
-      lp::solve(m, lp_options, workspace != nullptr ? *workspace : local_ws);
+  const lp::Solution sol = lp::solve(m, lp::Options{});
   GC_CHECK_MSG(sol.status == lp::Status::Optimal,
                "S3 LP not optimal at slot " << state.slot() << ": "
                                             << lp::to_string(sol.status));

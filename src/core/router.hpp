@@ -18,7 +18,6 @@
 
 #include "core/state.hpp"
 #include "core/types.hpp"
-#include "lp/simplex.hpp"
 
 namespace gc::core {
 
@@ -37,19 +36,15 @@ RoutingResult greedy_route(const NetworkState& state,
                            const std::vector<double>* demand = nullptr);
 
 // Exact LP solution of S3 (continuous relaxation; the constraint structure
-// is integral in practice). Reference implementation for tests/ablation.
-// Both routers only touch scheduled links, so the fault overlay needs no
-// handling here: S1 already withheld down/faded elements. `lp_options`
-// bounds the solve (watchdog); a non-Optimal status throws gc::CheckError
-// naming the simplex status and the slot, which the controller's fallback
-// ladder catches (Lp -> Greedy). `workspace` (optional) reuses solver
-// buffers across slots; no warm-start hint is ever set, so results are
-// identical with or without one.
+// is integral in practice): the test oracle for greedy_route, which the
+// controller always uses (router_test asserts the two reach the same
+// objective). Both routers only touch scheduled links, so the fault overlay
+// needs no handling here: S1 already withheld down/faded elements. A
+// non-Optimal status throws gc::CheckError naming the simplex status and
+// the slot.
 RoutingResult lp_route(const NetworkState& state,
                        const std::vector<ScheduledLink>& schedule,
                        const std::vector<AdmissionDecision>& admissions,
-                       const lp::Options& lp_options = {},
-                       lp::Workspace* workspace = nullptr,
                        const std::vector<double>* demand = nullptr);
 
 // Objective value of S3 for a given routing.

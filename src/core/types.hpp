@@ -123,8 +123,8 @@ struct NodeEnergyDecision {
 };
 
 // Wall-clock seconds the controller spent in each subproblem this slot
-// (S1 includes power control, S4 includes the energy-demand computation).
-// All zero when the library is built with GC_OBS_DISABLE.
+// (S1 includes power control, S4 includes the energy-demand computation),
+// measured by the controller's subproblem spans.
 struct SlotTimings {
   double s1_s = 0.0;
   double s2_s = 0.0;
@@ -151,7 +151,7 @@ struct SlotDecision {
   SlotTimings timing;
   // Graceful degradation (docs/ROBUSTNESS.md): how many subproblem solvers
   // fell down the fallback ladder this slot (S1 SequentialFix -> Greedy,
-  // S3 Lp -> Greedy, S4 Lp -> Price), and whether any did.
+  // S4 Lp -> Price), and whether any did.
   int fallbacks = 0;
   bool degraded = false;
 

@@ -372,7 +372,6 @@ double SimplexEngine::current_cost() const {
 }
 
 void SimplexEngine::recompute_basic_values() {
-  lp_metrics().refactorizations.add();
   ++stats_.refactorizations;
   // x_B = (B^-1 b) - sum_{nonbasic j} (B^-1 A_j) * xval_j; both factors live
   // in the updated tableau.
@@ -490,7 +489,6 @@ Status SimplexEngine::iterate(int* iter_budget) {
     if (span <= t_best) {
       // Entering hits its own opposite bound first: bound flip, no pivot.
       if (!std::isfinite(span)) return Status::Unbounded;
-      lp_metrics().bound_flips.add();
       ++stats_.bound_flips;
       state_[e] = state_[e] == VarState::AtLower ? VarState::AtUpper
                                                  : VarState::AtLower;
@@ -505,7 +503,6 @@ Status SimplexEngine::iterate(int* iter_budget) {
       }
       const int leaving = basis_[leave_row];
       state_[leaving] = leave_at_upper ? VarState::AtUpper : VarState::AtLower;
-      lp_metrics().pivots.add();
       ++stats_.pivots;
       // A zero-length step is the degeneracy that stalls dense simplex on
       // big scheduling LPs — worth its own count.
@@ -527,8 +524,7 @@ Status SimplexEngine::iterate(int* iter_budget) {
       stall = 0;
     } else if (!bland && ++stall >= opt_.stall_limit) {
       bland = true;
-      stats_.bland = true;
-      lp_metrics().bland_switches.add();
+      ++stats_.bland_switches;
     }
   }
 }
@@ -607,11 +603,10 @@ Solution SimplexEngine::run_phases() {
 Solution solve(const Model& model, const Options& options,
                Workspace& workspace) {
   SimplexMetrics& m = lp_metrics();
-  obs::ScopedTimer timer(m.solve_seconds);
-  // Span dim = structural columns, so the profiler can attribute wall time
-  // to LP size classes (obs/profile.hpp).
-  obs::Span span("lp.solve", -1, model.num_variables());
-  obs::StopWatch wall;
+  // One clock pair times the solve for lp.solve_seconds, the lp.solve span
+  // and stats.wall_s. Span dim = structural columns, so the profiler can
+  // attribute wall time to LP size classes (obs/profile.hpp).
+  obs::Span span("lp.solve", -1, model.num_variables(), &m.solve_seconds);
 
   std::int64_t nnz = 0;
   for (int r = 0; r < model.num_rows(); ++r)
@@ -623,22 +618,27 @@ Solution solve(const Model& model, const Options& options,
   // Record the structural variables' final states for the next solve's
   // warm start and consume the (one-shot) hint that fed this one.
   WorkspaceHooks::record_warm_state(workspace, model.num_variables());
+  stats.wall_s = span.close();
   m.solves.add();
   m.iterations.add(sol.iterations);
   if (sol.status == Status::TimeLimit) m.time_limits.add();
   if (sol.status == Status::NumericalError) m.numerical_errors.add();
 
-  // Per-solve introspection (always collected; only the registry
-  // instruments below compile out under GC_OBS_DISABLE).
+  // SolveStats is the one place the engine counts its work; the registry
+  // takes its totals once per solve, so every lp.* work counter's events()
+  // counts solves, not pivots or flips.
   stats.rows = model.num_rows();
   stats.cols = model.num_variables();
   stats.nonzeros = static_cast<int>(nnz);
-  stats.wall_s = wall.elapsed_seconds();
   stats.status = sol.status;
   // "Accepted" = the hint survived to the engine and mapped at least one
   // variable onto a carried-over bound state.
   const bool warm_accepted = stats.warm_attempted && stats.warm_vars_reused > 0;
 
+  m.pivots.add(stats.pivots);
+  m.bound_flips.add(stats.bound_flips);
+  m.refactorizations.add(stats.refactorizations);
+  m.bland_switches.add(stats.bland_switches);
   m.phase1_iterations.add(stats.phase1_iterations);
   m.phase2_iterations.add(stats.phase2_iterations);
   m.degenerate_pivots.add(stats.degenerate_pivots);

@@ -68,9 +68,10 @@ struct Solution {
 // Per-solve introspection record, filled by every solve (workspace or not)
 // and kept in Workspace::last_stats(). Collection is a handful of integer
 // increments inside loops that already do O(rows*cols) arithmetic, so it is
-// always on — only the lp.* registry instruments are compiled out under
-// GC_OBS_DISABLE. Purely observational: nothing here feeds back into the
-// solve, so results are bit-identical with or without a sink attached.
+// always on. It is the solver's only work count: lp::solve adds the totals
+// to the lp.* registry counters once per solve. Purely observational:
+// nothing here feeds back into the solve, so results are bit-identical with
+// or without a sink attached.
 struct SolveStats {
   // Problem dimensions as the caller posed them (structural variables;
   // slacks/artificials excluded).
@@ -88,7 +89,9 @@ struct SolveStats {
   int degenerate_pivots = 0;
   int bound_flips = 0;
   int refactorizations = 0;  // periodic basic-value recomputations
-  bool bland = false;        // the stall guard switched to Bland's rule
+  // Times the stall guard switched to Bland's rule: at most once per
+  // phase, so 0, 1 or 2.
+  int bland_switches = 0;
 
   // Warm start (see Workspace): attempted = a hint was pending when the
   // solve began; reused = how many structural variables actually rested at

@@ -33,7 +33,7 @@ void JsonlSolveLog::on_solve(const SolveStats& stats, const char* context) {
       context != nullptr ? context : "", slot_, stats.rows, stats.cols,
       stats.nonzeros, stats.phase1_iterations, stats.phase2_iterations,
       stats.pivots, stats.degenerate_pivots, stats.bound_flips,
-      stats.refactorizations, stats.bland ? "true" : "false",
+      stats.refactorizations, stats.bland_switches > 0 ? "true" : "false",
       stats.warm_attempted ? "true" : "false", stats.warm_vars_reused,
       static_cast<long long>(stats.fill_nonzeros), stats.numeric_repairs,
       to_string(stats.status), stats.wall_s);

@@ -32,7 +32,7 @@ void SpanRecorder::enable(std::size_t capacity) {
   // Register the drop counter up front so it appears (at zero) in registry
   // dumps of clean runs too — an absent counter and a truncated profile
   // must not look the same.
-  if (kCompiledIn) spans_dropped_counter();
+  spans_dropped_counter();
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.assign(capacity, SpanEvent{});
   next_ = size_ = 0;
@@ -48,21 +48,16 @@ void SpanRecorder::disable() {
   enabled_.store(false, std::memory_order_relaxed);
 }
 
-double SpanRecorder::now_s() const {
+double SpanRecorder::since_epoch_s(
+    std::chrono::steady_clock::time_point t) const {
   // Lock-free: epoch_ is written once, published by the release store on
   // have_epoch_ (enable holds the mutex for the rest of its work).
   if (!have_epoch_.load(std::memory_order_acquire)) return 0.0;
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
+  return std::chrono::duration<double>(t - epoch_).count();
 }
 
 void SpanRecorder::record(const char* name, double start_s, double dur_s,
                           std::int64_t id, std::int64_t dim) {
-  if constexpr (!kCompiledIn) {
-    (void)name, (void)start_s, (void)dur_s, (void)id, (void)dim;
-    return;
-  }
   if (!enabled()) return;
   const std::uint32_t tid = thread_lane();
   bool dropped_one = false;

@@ -1,24 +1,21 @@
-// Scoped wall-clock timers over std::chrono::steady_clock.
+// Wall-clock timing over std::chrono::steady_clock.
 //
-// ScopedTimer records the lifetime of a scope into a Histogram (and
-// optionally accumulates into a caller-owned double for per-slot traces):
+// Span is the one RAII timing primitive. It records the lifetime of a scope
+// as a named interval into the process-wide SpanRecorder ring buffer,
+// exportable as Chrome trace-event JSON (chrome://tracing, Perfetto), and
+// optionally also into a Histogram and a caller-owned accumulator:
 //
 //   {
-//     obs::ScopedTimer t(obs::registry().histogram("lp.solve_seconds"));
+//     obs::Span span("lp.solve", -1, cols,
+//                    &obs::registry().histogram("lp.solve_seconds"));
 //     ... hot work ...
 //   }   // <- observed here
 //
-// Cost: two steady_clock reads (~20 ns each) plus one histogram observe per
-// scope. Building with -DGC_OBS_DISABLE removes even that: the class
-// becomes an empty shell the optimizer erases.
-//
-// Span is the tracing twin: the same RAII shape, but instead of feeding a
-// histogram it records a named interval into the process-wide SpanRecorder
-// ring buffer, exportable as Chrome trace-event JSON (chrome://tracing,
-// Perfetto). Spans nest naturally — each scope records its own start and
-// duration, and the viewer reconstructs the stack from containment on the
-// same thread lane. Recording is off by default; a disabled Span costs one
-// relaxed atomic load.
+// Spans nest naturally: each scope records its own start and duration, and
+// the viewer reconstructs the stack from containment on the same thread
+// lane. Recording is off by default. A span with neither a histogram nor an
+// accumulator then costs one relaxed atomic load; a timed one always reads
+// the clock twice (~20 ns each) and observes one histogram sample.
 #pragma once
 
 #include <atomic>
@@ -52,42 +49,6 @@ class StopWatch {
   clock::time_point start_;
 };
 
-class ScopedTimer {
- public:
-  // `accumulate_s`, when non-null, is incremented by the elapsed seconds on
-  // destruction (in addition to the histogram observation).
-  explicit ScopedTimer(Histogram& h, double* accumulate_s = nullptr)
-#ifndef GC_OBS_DISABLE
-      : hist_(&h), out_(accumulate_s), start_(clock::now())
-#endif
-  {
-#ifdef GC_OBS_DISABLE
-    (void)h;
-    (void)accumulate_s;
-#endif
-  }
-
-  ~ScopedTimer() {
-#ifndef GC_OBS_DISABLE
-    const double s =
-        std::chrono::duration<double>(clock::now() - start_).count();
-    hist_->observe(s);
-    if (out_) *out_ += s;
-#endif
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-#ifndef GC_OBS_DISABLE
-  using clock = std::chrono::steady_clock;
-  Histogram* hist_;
-  double* out_;
-  clock::time_point start_;
-#endif
-};
-
 // One recorded interval. `name` must be a string literal (or otherwise
 // outlive the recorder) — recording stores the pointer, never copies.
 struct SpanEvent {
@@ -105,8 +66,7 @@ struct SpanEvent {
 // Process-wide bounded span store: a mutex-protected ring buffer that keeps
 // the most recent `capacity` spans (older ones are overwritten; dropped()
 // counts them). Recording is gated on an atomic flag so instrumented hot
-// paths pay one relaxed load when tracing is off. Built with
-// -DGC_OBS_DISABLE, record() compiles to nothing.
+// paths pay one relaxed load when tracing is off.
 class SpanRecorder {
  public:
   static SpanRecorder& instance();
@@ -122,9 +82,9 @@ class SpanRecorder {
   void record(const char* name, double start_s, double dur_s,
               std::int64_t id, std::int64_t dim = -1);
 
-  // Seconds since the recorder epoch on the steady clock; 0 before the
-  // first enable().
-  double now_s() const;
+  // Seconds from the recorder epoch to `t` on the steady clock; 0 before
+  // the first enable().
+  double since_epoch_s(std::chrono::steady_clock::time_point t) const;
 
   // Copies the buffered spans out in chronological order and clears the
   // buffer (dropped() resets too).
@@ -168,60 +128,63 @@ class SpanRecorder {
 void write_chrome_trace(const std::string& path,
                         const std::vector<SpanEvent>& spans);
 
-// RAII span: records [construction, destruction) into the SpanRecorder
-// when recording is enabled. `name` must outlive the recorder (use string
-// literals). `id` disambiguates instances (slot index, sweep job index);
-// `dim` annotates the problem size (LP columns, scheduled links, nodes) —
-// set it at construction when known, or later via set_dim for sizes that
-// only materialize inside the scope (a schedule's link count, say).
+// RAII span: times [construction, destruction). The interval goes into the
+// SpanRecorder when recording is enabled, into `hist` (one sample) and onto
+// `*accumulate_s` whenever those are given. `name` must outlive the
+// recorder (use string literals). `id` disambiguates instances (slot index,
+// sweep job index); `dim` annotates the problem size (LP columns, scheduled
+// links, nodes) — set it at construction when known, or later via set_dim
+// for sizes that only materialize inside the scope (a schedule's link
+// count, say).
 class Span {
  public:
-  explicit Span(const char* name, std::int64_t id = -1, std::int64_t dim = -1)
-#ifndef GC_OBS_DISABLE
-      : name_(name), id_(id), dim_(dim) {
-    if (SpanRecorder::instance().enabled()) {
-      live_ = true;
-      start_s_ = SpanRecorder::instance().now_s();
-    }
-  }
-#else
-  {
-    (void)name;
-    (void)id;
-    (void)dim;
-  }
-#endif
-
-  // Updates the recorded problem-size annotation (recorded at destruction).
-  void set_dim(std::int64_t dim) {
-#ifndef GC_OBS_DISABLE
-    dim_ = dim;
-#else
-    (void)dim;
-#endif
+  explicit Span(const char* name, std::int64_t id = -1, std::int64_t dim = -1,
+                Histogram* hist = nullptr, double* accumulate_s = nullptr)
+      : name_(name),
+        id_(id),
+        dim_(dim),
+        hist_(hist),
+        out_(accumulate_s),
+        live_(SpanRecorder::instance().enabled()),
+        open_(live_ || hist != nullptr || accumulate_s != nullptr) {
+    if (open_) start_ = clock::now();
   }
 
-  ~Span() {
-#ifndef GC_OBS_DISABLE
+  // Updates the recorded problem-size annotation (recorded at close).
+  void set_dim(std::int64_t dim) { dim_ = dim; }
+
+  // Ends the interval now rather than at scope exit and returns its length
+  // in seconds (0 when nothing times this span). Later calls, the
+  // destructor's included, do nothing and return 0.
+  double close() {
+    if (!open_) return 0.0;
+    open_ = false;
+    const double s =
+        std::chrono::duration<double>(clock::now() - start_).count();
+    if (hist_ != nullptr) hist_->observe(s);
+    if (out_ != nullptr) *out_ += s;
     if (live_) {
       SpanRecorder& r = SpanRecorder::instance();
-      const double end_s = r.now_s();
-      r.record(name_, start_s_, end_s - start_s_, id_, dim_);
+      r.record(name_, r.since_epoch_s(start_), s, id_, dim_);
     }
-#endif
+    return s;
   }
+
+  ~Span() { close(); }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-#ifndef GC_OBS_DISABLE
+  using clock = std::chrono::steady_clock;
   const char* name_;
   std::int64_t id_;
-  std::int64_t dim_ = -1;
-  bool live_ = false;
-  double start_s_ = 0.0;
-#endif
+  std::int64_t dim_;
+  Histogram* hist_;
+  double* out_;
+  bool live_;
+  bool open_;  // timed and not yet closed
+  clock::time_point start_;
 };
 
 }  // namespace gc::obs

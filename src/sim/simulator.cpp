@@ -166,9 +166,8 @@ Metrics run_loop(const core::NetworkModel& model,
   Rng input_rng(options.input_seed);
 
   // Theory auditor (docs/OBSERVABILITY.md): strict_bounds forces the audit
-  // on even in GC_OBS_DISABLE builds (the verdict is what aborts the run;
-  // only the stability.* instruments are compiled out there). Built before
-  // the resume below so checkpoint v3 can reinstate its accumulators.
+  // on, since its verdict is what aborts the run. Built before the resume
+  // below so checkpoint v3 can reinstate its accumulators.
   const bool audit_on = options.audit || options.strict_bounds;
   const double lambda = controller.options().allocator.lambda;
   std::unique_ptr<obs::StabilityAuditor> auditor;

@@ -7,7 +7,6 @@
 
 #include "core/controller.hpp"
 #include "core/model.hpp"
-#include "obs/registry.hpp"  // obs::kCompiledIn, the audit default
 #include "obs/stability.hpp"
 #include "sim/mobility.hpp"
 #include "util/stats.hpp"
@@ -57,8 +56,8 @@ struct Metrics {
   int slots = 0;
 
   // Accumulated controller wall-clock (seconds) across the run, split by
-  // subproblem; zeros when built with GC_OBS_DISABLE. Divide by `slots` for
-  // per-slot means (see bench::timing_columns).
+  // subproblem. Divide by `slots` for per-slot means (see
+  // bench::timing_columns).
   core::SlotTimings timing;
 
   // Sleep-policy aggregates (src/policy), copied from the run's
@@ -175,10 +174,9 @@ struct SimOptions {
 
   // Lyapunov theory auditor (src/obs/stability.hpp, docs/OBSERVABILITY.md):
   // per-slot bound checks, drift diagnostics, and the windowed convergence
-  // estimator. On by default when observability is compiled in (the audit
-  // is pure arithmetic on state the simulator already touches); forced on
-  // by strict_bounds regardless of the build flavor.
-  bool audit = obs::kCompiledIn;
+  // estimator. On by default (the audit is pure arithmetic on state the
+  // simulator already touches); strict_bounds forces it on.
+  bool audit = true;
   // Abort (gc::CheckError with a precise message naming the queue/battery,
   // its value, and the broken bound) on the first audited violation.
   bool strict_bounds = false;

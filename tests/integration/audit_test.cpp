@@ -52,11 +52,10 @@ TEST(Audit, PaperBaselineAuditsCleanOverTwoThousandSlots) {
   const auto model = cfg.build();
   core::LyapunovController controller(model, 3.0, cfg.controller_options());
   SimOptions opt;
-  opt.strict_bounds = true;  // forces the audit on in every build flavor
+  opt.strict_bounds = true;
   const StabilityTotals before = StabilityTotals::read();
   const Metrics m = run_simulation(model, controller, 2000, opt);
   EXPECT_EQ(m.slots, 2000);
-  if (!obs::kCompiledIn) return;
   const StabilityTotals after = StabilityTotals::read();
   EXPECT_DOUBLE_EQ(after.audited - before.audited, 2000.0);
   EXPECT_DOUBLE_EQ(after.q - before.q, 0.0);
@@ -119,7 +118,6 @@ TEST(Audit, ConfigMatchesPaperFormulasExactly) {
 // queue bounds themselves scale with lambda = 1e7 and stay formally
 // satisfied — growth detection is exactly what the windows are for.)
 TEST(Audit, DestabilizedRunTripsUnstableWindowCounters) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const auto cfg = overloaded_tiny();
   const auto model = cfg.build();
   core::LyapunovController controller(model, 2.0, cfg.controller_options());

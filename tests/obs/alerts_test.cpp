@@ -98,7 +98,6 @@ TEST(AlertEngine, FromJsonFileRejectsMalformedFiles) {
 }
 
 TEST(AlertEngine, CounterRulesSeeOnlyInLoopDeltas) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Counter& c = reg.counter("t.fallbacks");
   c.add(100.0);  // pre-loop history (a resumed process's counter bump)
@@ -130,7 +129,6 @@ TEST(AlertEngine, CounterRulesSeeOnlyInLoopDeltas) {
 }
 
 TEST(AlertEngine, GaugeRulesAreInstantaneousAndClear) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Gauge& g = reg.gauge("t.level");
   AlertEngine engine({gauge_rule("level", "t.level", 3.0,
@@ -158,7 +156,6 @@ TEST(AlertEngine, GaugeRulesAreInstantaneousAndClear) {
 }
 
 TEST(AlertEngine, ForSlotsDebouncesConsecutiveHolds) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Gauge& g = reg.gauge("t.level");
   AlertEngine engine({gauge_rule("level", "t.level", 0.0,
@@ -186,7 +183,6 @@ TEST(AlertEngine, ForSlotsDebouncesConsecutiveHolds) {
 }
 
 TEST(AlertEngine, WindowRuleFiresOnRateNotTotal) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Counter& c = reg.counter("t.c");
   AlertRule r;
@@ -232,7 +228,6 @@ TEST(AlertEngine, AbsentMetricReadsZero) {
 }
 
 TEST(AlertEngine, StateRoundTripsAndRefusesForeignRules) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry reg;
   Gauge& g = reg.gauge("t.level");
   const std::vector<AlertRule> rules = {

@@ -16,12 +16,8 @@ TEST(Counter, AccumulatesTotalAndEvents) {
   EXPECT_EQ(c.events(), 0);
   c.add();
   c.add(2.5);
-  if (kCompiledIn) {
-    EXPECT_DOUBLE_EQ(c.total(), 3.5);
-    EXPECT_EQ(c.events(), 2);
-  } else {
-    EXPECT_EQ(c.total(), 0.0);
-  }
+  EXPECT_DOUBLE_EQ(c.total(), 3.5);
+  EXPECT_EQ(c.events(), 2);
   c.reset();
   EXPECT_EQ(c.total(), 0.0);
   EXPECT_EQ(c.events(), 0);
@@ -31,9 +27,7 @@ TEST(Gauge, LastValueWins) {
   Gauge g;
   g.set(4.0);
   g.set(-1.5);
-  if (kCompiledIn) {
-    EXPECT_DOUBLE_EQ(g.value(), -1.5);
-  }
+  EXPECT_DOUBLE_EQ(g.value(), -1.5);
   g.reset();
   EXPECT_EQ(g.value(), 0.0);
 }
@@ -51,7 +45,6 @@ TEST(Histogram, EmptyIsAllZero) {
 TEST(Histogram, SingleValueQuantilesClampExactly) {
   Histogram h;
   h.observe(3.0e-3);
-  if (!kCompiledIn) return;
   EXPECT_EQ(h.count(), 1);
   EXPECT_DOUBLE_EQ(h.sum(), 3.0e-3);
   EXPECT_DOUBLE_EQ(h.min(), 3.0e-3);
@@ -65,7 +58,6 @@ TEST(Histogram, SingleValueQuantilesClampExactly) {
 TEST(Histogram, QuantilesWithinBucketResolution) {
   Histogram h;
   for (int i = 1; i <= 1000; ++i) h.observe(i * 1.0e-6);  // 1us .. 1ms
-  if (!kCompiledIn) return;
   EXPECT_EQ(h.count(), 1000);
   // Geometric buckets are ~12% wide; allow a generous 15% relative error.
   EXPECT_NEAR(h.quantile(0.5), 500e-6, 0.15 * 500e-6);
@@ -79,7 +71,6 @@ TEST(Histogram, OutOfRangeValuesClampToEndBuckets) {
   Histogram h;
   h.observe(1e-12);  // below kMin
   h.observe(1e7);    // above the top bucket (~2 hours)
-  if (!kCompiledIn) return;
   EXPECT_EQ(h.count(), 2);
   EXPECT_DOUBLE_EQ(h.min(), 1e-12);  // min/max stay exact
   EXPECT_DOUBLE_EQ(h.max(), 1e7);
@@ -98,7 +89,6 @@ TEST(Histogram, QuantilesExactAtBucketBoundaries) {
   const double hi = Histogram::kMin * 64.0;
   Histogram h;
   for (int i = 0; i < 50; ++i) h.observe(lo);
-  if (!kCompiledIn) return;
   // All mass in one bucket: every quantile clamps to the single value.
   EXPECT_DOUBLE_EQ(h.quantile(0.0), lo);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), lo);
@@ -160,9 +150,7 @@ TEST(Registry, ResetKeepsRegistrationsAndReferences) {
   EXPECT_EQ(c.total(), 0.0);
   EXPECT_EQ(&r.counter("c"), &c);  // same instrument after reset
   c.add(1.0);
-  if (kCompiledIn) {
-    EXPECT_DOUBLE_EQ(r.counters()[0].second->total(), 1.0);
-  }
+  EXPECT_DOUBLE_EQ(r.counters()[0].second->total(), 1.0);
 }
 
 // Satellite: gauge merges are deterministic last-writer-wins in MERGE
@@ -170,7 +158,6 @@ TEST(Registry, ResetKeepsRegistrationsAndReferences) {
 // highest-index registry that ever SET it; registries that never set the
 // gauge cannot steal the value (Gauge::merge_from, sim/sweep.cpp).
 TEST(Registry, GaugeMergeIsMergeOrderLastWriterWins) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry r1, r2, r3;
   r1.gauge("run.last_V").set(1.0);
   r2.gauge("run.last_V").set(2.0);
@@ -200,7 +187,6 @@ TEST(Registry, GaugeMergeIsMergeOrderLastWriterWins) {
 }
 
 TEST(Registry, MergeAccumulatesCountersAndHistograms) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   Registry a, b;
   a.counter("n").add(2.0);
   b.counter("n").add(3.0);
@@ -221,23 +207,26 @@ TEST(GlobalRegistry, IsASingleton) {
   EXPECT_EQ(&registry(), &registry());
 }
 
-TEST(ScopedTimer, ObservesElapsedIntoHistogramAndAccumulator) {
+// A Span given a histogram and an accumulator times its scope whether or
+// not the recorder is on; with recording off it records no span.
+TEST(Span, TimesIntoHistogramAndAccumulatorWithRecorderDisabled) {
+  SpanRecorder& rec = SpanRecorder::instance();
+  rec.disable();
+  rec.drain();
   Histogram h;
   double acc = 0.0;
   {
-    ScopedTimer t(h, &acc);
+    Span s("registry_test.timed", -1, -1, &h, &acc);
     // Burn a little time so the sample is strictly positive.
     volatile double x = 0.0;
     for (int i = 0; i < 1000; ++i) x = x + std::sqrt(static_cast<double>(i));
     (void)x;
   }
-  if (!kCompiledIn) {
-    EXPECT_EQ(h.count(), 0);
-    return;
-  }
   EXPECT_EQ(h.count(), 1);
   EXPECT_GT(h.sum(), 0.0);
+  EXPECT_GT(acc, 0.0);
   EXPECT_DOUBLE_EQ(acc, h.sum());
+  EXPECT_TRUE(rec.drain().empty());
 }
 
 TEST(Report, RendersEveryInstrumentKind) {

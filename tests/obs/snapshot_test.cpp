@@ -86,16 +86,14 @@ TEST(SnapshotWriter, JsonRoundTripsEverySection) {
   EXPECT_DOUBLE_EQ(v.at("aggregates").at("battery_total_j").as_number(), 9.25);
   EXPECT_DOUBLE_EQ(v.at("stability").at("worst_q_margin").as_number(), 7.0);
   EXPECT_DOUBLE_EQ(v.at("stability").at("q_violations").as_number(), 2.0);
-  if (kCompiledIn) {
-    const JsonValue& reg = v.at("registry");
-    EXPECT_DOUBLE_EQ(reg.at("counters").at("test.counts").at("total")
-                         .as_number(),
-                     3.0);
-    EXPECT_DOUBLE_EQ(reg.at("gauges").at("test.level").as_number(), -2.5);
-    EXPECT_DOUBLE_EQ(reg.at("histograms").at("test.seconds").at("count")
-                         .as_number(),
-                     1.0);
-  }
+  const JsonValue& reg = v.at("registry");
+  EXPECT_DOUBLE_EQ(reg.at("counters").at("test.counts").at("total")
+                       .as_number(),
+                   3.0);
+  EXPECT_DOUBLE_EQ(reg.at("gauges").at("test.level").as_number(), -2.5);
+  EXPECT_DOUBLE_EQ(reg.at("histograms").at("test.seconds").at("count")
+                       .as_number(),
+                   1.0);
   std::remove(path.c_str());
   std::remove(w.prom_path().c_str());
 }
@@ -114,11 +112,9 @@ TEST(SnapshotWriter, PromTwinExposesGcFamilies) {
   const std::string prom = read_file(w.prom_path());
   EXPECT_NE(prom.find("gc_snapshot_slot 7"), std::string::npos) << prom;
   EXPECT_NE(prom.find("gc_stability_q_violations_total 5"), std::string::npos);
-  if (kCompiledIn) {
-    EXPECT_NE(prom.find("# TYPE gc_ctrl_slots_total counter"),
-              std::string::npos);
-    EXPECT_NE(prom.find("gc_ctrl_slots_total 7"), std::string::npos);
-  }
+  EXPECT_NE(prom.find("# TYPE gc_ctrl_slots_total counter"),
+            std::string::npos);
+  EXPECT_NE(prom.find("gc_ctrl_slots_total 7"), std::string::npos);
   std::remove(path.c_str());
   std::remove(w.prom_path().c_str());
 }
@@ -127,7 +123,6 @@ TEST(SnapshotWriter, PromTwinExposesGcFamilies) {
 // cumulative _bucket{le="..."} lines, the +Inf bucket, _sum and _count —
 // and every family is announced by # HELP / # TYPE.
 TEST(SnapshotRender, HistogramFamiliesExposeCumulativeBuckets) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   SnapshotData d;
   Registry r;
   Histogram& h = r.histogram("test.seconds");

@@ -42,10 +42,6 @@ TEST(Span, NestedSpansDrainChronologically) {
   }
   SpanRecorder::instance().disable();
   const auto spans = SpanRecorder::instance().drain();
-  if (!kCompiledIn) {
-    EXPECT_TRUE(spans.empty());
-    return;
-  }
   ASSERT_EQ(spans.size(), 2u);
   // Oldest-first by start time: the outer scope opened before the inner.
   EXPECT_STREQ(spans[0].name, "span_test.outer");
@@ -61,7 +57,6 @@ TEST(Span, NestedSpansDrainChronologically) {
 }
 
 TEST(Span, RingKeepsMostRecentAndCountsDrops) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(4);
   for (std::int64_t i = 0; i < 10; ++i)
@@ -75,7 +70,6 @@ TEST(Span, RingKeepsMostRecentAndCountsDrops) {
 }
 
 TEST(Span, ReenableClearsPreviousContents) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(8);
   SpanRecorder::instance().record("span_test.old", 0.0, 1.0, 1);
@@ -87,7 +81,6 @@ TEST(Span, ReenableClearsPreviousContents) {
 }
 
 TEST(Span, ExportsParseableChromeTrace) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(16);
   SpanRecorder::instance().record("span_test.export \"q\"", 1.0, 0.25, 42);
@@ -115,7 +108,6 @@ TEST(Span, ExportsParseableChromeTrace) {
 }
 
 TEST(Span, ExportsDimAnnotationInTraceArgs) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(16);
   SpanRecorder::instance().record("span_test.dim", 1.0, 0.5, 7, 480);
@@ -138,7 +130,6 @@ TEST(Span, ExportsDimAnnotationInTraceArgs) {
 }
 
 TEST(Span, SpanCarriesDimSetInsideScope) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(8);
   {
@@ -156,7 +147,6 @@ TEST(Span, SpanCarriesDimSetInsideScope) {
 // fresh thread with a private registry installed — the test main thread's
 // cached instrument reference cannot be re-pointed.
 TEST(Span, DropsAreMirroredIntoRegistryCounter) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(4);
   const std::int64_t total_before = SpanRecorder::instance().dropped_total();
@@ -177,7 +167,6 @@ TEST(Span, DropsAreMirroredIntoRegistryCounter) {
 }
 
 TEST(Span, EnablePreRegistersDropCounterAtZero) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   Registry private_reg;
   std::thread worker([&] {
@@ -197,7 +186,6 @@ TEST(Span, EnablePreRegistersDropCounterAtZero) {
 }
 
 TEST(Span, LiveSpanMeasuresElapsedTime) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out";
   RecorderReset reset;
   SpanRecorder::instance().enable(8);
   {

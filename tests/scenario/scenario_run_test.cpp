@@ -5,10 +5,12 @@
 // scenario hash refuses to resume under another.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "core/controller.hpp"
+#include "lp/simplex.hpp"
 #include "obs/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
@@ -130,7 +132,6 @@ void count_lp_solves(const obs::ProfileNode& node, bool under_step,
 // its step, so a profile of a default flash-crowd run (spike included)
 // attributes every lp.solve span under controller.step and re-roots none.
 TEST(ScenarioRun, FlashCrowdProfileNestsEveryLpSolveUnderControllerStep) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
   const ScenarioSpec spec = load_scenario_file(
       std::string(GC_SCENARIO_EXAMPLES_DIR) + "/flash_crowd.json");
   auto& rec = obs::SpanRecorder::instance();
@@ -146,6 +147,93 @@ TEST(ScenarioRun, FlashCrowdProfileNestsEveryLpSolveUnderControllerStep) {
   count_lp_solves(p.root, false, &inside, &outside);
   EXPECT_GT(inside, 0);
   EXPECT_EQ(outside, 0);
+}
+
+ScenarioSpec example_spec(const char* file) {
+  return load_scenario_file(std::string(GC_SCENARIO_EXAMPLES_DIR) + "/" +
+                            file);
+}
+
+// B of eq. (34), summed the way the paper writes it: for every session and
+// node, the in/out link scans run again. The model hoists those scans out
+// of the session loop; the constant must not move by a single bit.
+double naive_drift_b(const core::NetworkModel& m) {
+  const int n = m.num_nodes();
+  double b1 = 0.0;
+  for (int s = 0; s < m.num_sessions(); ++s)
+    for (int i = 0; i < n; ++i) {
+      double out_max = 0.0, in_max = 0.0;
+      for (int j = 0; j < n; ++j) {
+        if (j == i) continue;
+        out_max = std::max(out_max, m.max_link_packets(i, j));
+        in_max = std::max(in_max, m.max_link_packets(j, i));
+      }
+      out_max *= m.num_radios(i);
+      in_max *= m.num_radios(i);
+      const double admit = m.topology().is_base_station(i)
+                               ? m.session(s).max_admit_packets
+                               : 0.0;
+      b1 += out_max * out_max + (in_max + admit) * (in_max + admit);
+    }
+  b1 *= 0.5;
+  double b2 = 0.0;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const double v = m.beta() * m.max_link_packets_all_radios(i, j);
+      b2 += v * v;
+    }
+  double b3 = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const auto& b = m.node(i).battery;
+    b3 += std::max(b.max_charge_j * b.max_charge_j,
+                   b.max_discharge_j * b.max_discharge_j);
+  }
+  b3 *= 0.5;
+  return b1 + b2 + b3;
+}
+
+TEST(ScenarioRun, DriftConstantBMatchesNaiveEq34) {
+  for (const char* file : {"paper_baseline.json", "flash_crowd.json"}) {
+    const core::NetworkModel model = example_spec(file).config.build();
+    EXPECT_EQ(model.drift_constant_B(), naive_drift_b(model)) << file;
+  }
+}
+
+// Sums every SolveStats record the controller's workspaces publish.
+struct StatsTotals : lp::SolveStatsSink {
+  double pivots = 0, bound_flips = 0, refactorizations = 0, iterations = 0;
+  void on_solve(const lp::SolveStats& st, const char*) override {
+    pivots += st.pivots;
+    bound_flips += st.bound_flips;
+    refactorizations += st.refactorizations;
+    iterations += st.pivots + st.bound_flips;
+  }
+};
+
+// SolveStats is the solver's one work count: the lp.* registry totals are
+// added from it once per solve, so over a run they equal the sums a sink
+// collects from the same solves.
+TEST(ScenarioRun, LpCounterTotalsEqualSolveStatsSums) {
+  const ScenarioSpec spec = example_spec("flash_crowd.json");
+  const core::NetworkModel model = spec.config.build();
+  StatsTotals sums;
+  core::ControllerOptions copts = spec.config.controller_options();
+  copts.lp_stats = &sums;
+  core::LyapunovController controller(model, 3.0, copts);
+  const char* names[] = {"lp.pivots", "lp.bound_flips", "lp.refactorizations",
+                         "lp.iterations"};
+  double before[4];
+  for (int k = 0; k < 4; ++k)
+    before[k] = obs::registry().counter(names[k]).total();
+  sim::run_simulation(model, controller, 100);
+  const double expected[] = {sums.pivots, sums.bound_flips,
+                             sums.refactorizations, sums.iterations};
+  EXPECT_GT(sums.pivots, 0.0);
+  for (int k = 0; k < 4; ++k)
+    EXPECT_EQ(obs::registry().counter(names[k]).total() - before[k],
+              expected[k])
+        << names[k];
 }
 
 }  // namespace

@@ -257,7 +257,7 @@ int run(const Options& opt) {
     sopts.trace_path = clean_trace;
     sopts.scenario_name = spec.name;
     sopts.scenario_hash = hash;
-    sopts.audit = gc::obs::kCompiledIn;
+    sopts.audit = true;
     sopts.sleep = &sleep_setup;
     gc::obs::EventJournal journal;
     journal.open_sink(clean_events, /*cut_slot=*/-1);
@@ -315,7 +315,7 @@ int run(const Options& opt) {
         sopts.trace_path = chaos_trace;
         sopts.scenario_name = spec.name;
         sopts.scenario_hash = hash;
-        sopts.audit = gc::obs::kCompiledIn;
+        sopts.audit = true;
         sopts.sleep = &sleep_setup;
         sopts.process_kill_skip = crash_restarts;
         sopts.faults = &faults;
